@@ -5,7 +5,8 @@ real multiplications, 992 additions) or through a factorized pipeline of
 permutations, pairwise butterflies, one 512-entry diagonal, and a fan-in
 sum (512 multiplications, 576 additions including the one-time pairing
 of the right operand).  Both engines are exactly instrumented and agree
-bit-exactly on integer inputs.
+bit-exactly on integer inputs with 64*max|a|*max|b| <= 2**53, for example
+|coefficients| <= 2**23; the bound is not checked.
 """
 
 from .cayley import (

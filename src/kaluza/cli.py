@@ -32,11 +32,11 @@ from .fastmul import (
     mul_fast,
 )
 from .linops import (
-    FanInStage,
-    HadamardPairsStage,
-    PermuteStage,
-    ReplicateStage,
+    apply_permutation,
+    fan_in_sum,
+    hadamard_pairs,
     materialize,
+    replicate_pairs,
 )
 from .number import KaluzaNumber, build_mul_matrix, compare_printed_blocks, mul_naive
 from .prng import Stream
@@ -347,18 +347,18 @@ def _cmd_dump(args) -> int:
         print(dump_table(TABLE, args.quadrant))
         return 0
     if what == "factors":
-        stages = [
-            ("permute", PermuteStage(PAIRING_PERMUTATION)),
-            ("hadamard-pairs", HadamardPairsStage(16)),
-            ("replicate", ReplicateStage(16)),
-            ("fan-in", FanInStage(16, 32)),
+        factors = [
+            ("permute", lambda x: apply_permutation(PAIRING_PERMUTATION, x), 32),
+            ("hadamard-pairs", hadamard_pairs, 32),
+            ("replicate", replicate_pairs, 32),
+            ("fan-in", fan_in_sum, 512),
         ]
         print(
             "# chain: permute -> hadamard-pairs -> replicate -> diagonal(b) "
             "-> fan-in -> hadamard-pairs -> permute"
         )
-        for name, stage in stages:
-            m = materialize([stage])
+        for name, fn, n_in in factors:
+            m = materialize(fn, n_in)
             print(f"# {name} {len(m)}x{len(m[0])}")
             print(_fmt_matrix(m))
         return 0

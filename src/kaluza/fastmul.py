@@ -17,20 +17,20 @@ each one is a signed reference into the 32-entry c-vector, extracted
 mechanically from the permuted symbolic matrix.  A separately transcribed
 rendering of those references is kept in fixtures and diffed against the
 derivation as a typo cross-check.
+
+FactorizedPipeline.apply is the one description of the chain; its dense
+matrix, checked against the direct one, is built by running apply itself.
 """
 
 from __future__ import annotations
 
+from functools import cache
+
 from .cayley import CayleyTable
 from .fixtures import printed_diagonal_blocks, signed_token
 from .linops import (
-    DiagonalStage,
-    FanInStage,
-    HadamardPairsStage,
     OpCount,
     Permutation32,
-    PermuteStage,
-    ReplicateStage,
     apply_permutation,
     block_diagonal_scale,
     fan_in_sum,
@@ -71,11 +71,6 @@ class CVector:
             raise ValueError(f"expected 32 c-values, got {len(v)}")
         self.values = v
 
-    def recover_pair(self, t: int) -> tuple[float, float]:
-        """Invert the halving for pair t: (b_u, b_v)."""
-        hi, lo = self.values[2 * t], self.values[2 * t + 1]
-        return (hi + lo, hi - lo)
-
 
 def compute_c(b: KaluzaNumber, counter: OpCount | None = None) -> CVector:
     """Pair up the right operand and halve: 32 additions, 0 multiplications.
@@ -85,7 +80,7 @@ def compute_c(b: KaluzaNumber, counter: OpCount | None = None) -> CVector:
     permute-then-butterfly used by the pipeline itself; the halving is a
     power-of-two scale and stays off the books.
     """
-    paired = apply_permutation(PAIRING_PERMUTATION, list(b.coeffs))
+    paired = apply_permutation(PAIRING_PERMUTATION, b.coeffs)
     mixed = hadamard_pairs(paired, counter)
     return CVector(v * 0.5 for v in mixed)
 
@@ -134,9 +129,6 @@ def _half_combo_refs():
     return refs
 
 
-_spec_cache: DiagonalSpec | None = None
-
-
 def derive_diagonal_spec(table: CayleyTable | None = None) -> DiagonalSpec:
     """Extract the diagonal references from the permuted symbolic matrix.
 
@@ -146,11 +138,17 @@ def derive_diagonal_spec(table: CayleyTable | None = None) -> DiagonalSpec:
     eigenvalues to signed c-references.  Raises if a block is not
     bisymmetric or an eigenvalue is not expressible as +/- one c-value;
     either would mean the basis table and the pairing order disagree.
+    The default table's derivation is computed once and shared.
     """
-    global _spec_cache
-    if table is None and _spec_cache is not None:
-        return _spec_cache
+    return _default_diagonal_spec() if table is None else _derive_diagonal_spec(table)
 
+
+@cache
+def _default_diagonal_spec() -> DiagonalSpec:
+    return _derive_diagonal_spec(None)
+
+
+def _derive_diagonal_spec(table: CayleyTable | None) -> DiagonalSpec:
     sym = symbolic_mul_matrix(table)
     pm = PAIRING_PERMUTATION.map
     perm_sym = [[sym[pm[r]][pm[c]] for c in range(32)] for r in range(32)]
@@ -186,11 +184,7 @@ def derive_diagonal_spec(table: CayleyTable | None = None) -> DiagonalSpec:
             block.append(resolve(a, b, r, k))
             block.append(resolve(a, (-b[0], b[1]), r, k))
         blocks.append(block)
-
-    spec = DiagonalSpec(blocks)
-    if table is None:
-        _spec_cache = spec
-    return spec
+    return DiagonalSpec(blocks)
 
 
 def compare_printed_diagonal(spec: DiagonalSpec | None = None):
@@ -219,40 +213,24 @@ class FactorizedPipeline:
     desired at 512 multiplications and 544 additions each.
     """
 
-    __slots__ = ("permutation", "c", "diagonal")
+    __slots__ = ("diagonal",)
 
-    def __init__(self, permutation: Permutation32, c: CVector, diagonal):
-        self.permutation = permutation
-        self.c = c
-        self.diagonal = tuple(float(v) for v in diagonal)
-        if len(self.diagonal) != 512:
-            raise ValueError("diagonal must have 512 entries")
+    def __init__(self, c: CVector):
+        self.diagonal = tuple(derive_diagonal_spec().materialize(c))
 
     def apply(self, a: KaluzaNumber, counter: OpCount | None = None) -> KaluzaNumber:
-        x = apply_permutation(self.permutation, list(a.coeffs))
+        x = apply_permutation(PAIRING_PERMUTATION, a.coeffs)
         x = hadamard_pairs(x, counter)  # 32 additions
         x = replicate_pairs(x)
         x = block_diagonal_scale(x, self.diagonal, counter)  # 512 multiplications
         x = fan_in_sum(x, counter)  # 480 additions
         x = hadamard_pairs(x, counter)  # 32 additions
-        x = apply_permutation(self.permutation, x)
+        x = apply_permutation(PAIRING_PERMUTATION, x)
         return KaluzaNumber(x)
 
-    def stages(self):
-        """The pipeline as composable stages, in application order."""
-        return [
-            PermuteStage(self.permutation),
-            HadamardPairsStage(16),
-            ReplicateStage(16),
-            DiagonalStage(self.diagonal),
-            FanInStage(16, 32),
-            HadamardPairsStage(16),
-            PermuteStage(self.permutation),
-        ]
-
     def materialize(self) -> list[list[float]]:
-        """Dense 32x32 matrix of the whole chain (verification aid)."""
-        return materialize(self.stages())
+        """Dense 32x32 matrix of apply(), built from unit vectors (verification aid)."""
+        return materialize(lambda x: self.apply(KaluzaNumber(x)).coeffs, 32)
 
 
 def build_pipeline(b: KaluzaNumber, counter: OpCount | None = None) -> FactorizedPipeline:
@@ -261,9 +239,7 @@ def build_pipeline(b: KaluzaNumber, counter: OpCount | None = None) -> Factorize
     Costs 32 additions (the c-vector); expanding the c-values onto the
     512-entry diagonal applies signs only and is free.
     """
-    c = compute_c(b, counter)
-    spec = derive_diagonal_spec()
-    return FactorizedPipeline(PAIRING_PERMUTATION, c, spec.materialize(c))
+    return FactorizedPipeline(compute_c(b, counter))
 
 
 def mul_fast(a: KaluzaNumber, p: FactorizedPipeline, counter: OpCount | None = None) -> KaluzaNumber:

@@ -1,12 +1,13 @@
-"""Structured linear-operator kernels with exact operation accounting.
+"""Linear-operator kernels with exact operation accounting.
 
-Five stage kinds cover everything the factorized multiplication needs:
+Five kernels cover everything the factorized multiplication needs:
 permutation, pairwise Hadamard butterflies, pair replication, diagonal
 scaling, and fan-in summation.  Every kernel is branch-free, so its cost
 is a fixed function of the input length and counters are bumped by that
 exact amount.  Negations and power-of-two scalings are shift-class
 operations and stay off the books; a subtraction is tallied as an
-addition.
+addition.  ``materialize`` turns any of them, or any chain of them, into
+a dense matrix for verification.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class OpCount:
 
 
 class Permutation32:
-    """A bijection on {0..31}.  Forward application fills slot i from map[i]."""
+    """A bijection on {0..31}.  Application fills slot i from map[i]."""
 
     SIZE = 32
 
@@ -47,41 +48,18 @@ class Permutation32:
             raise ValueError("permutation must be a bijection on 0..31")
         self.map = m
 
-    @classmethod
-    def identity(cls) -> "Permutation32":
-        return cls(range(cls.SIZE))
-
     def is_involution(self) -> bool:
         return all(self.map[self.map[i]] == i for i in range(self.SIZE))
 
-    def inverse(self) -> "Permutation32":
-        inv = [0] * self.SIZE
-        for i, v in enumerate(self.map):
-            inv[v] = i
-        return Permutation32(inv)
 
-    def __eq__(self, other):
-        return isinstance(other, Permutation32) and self.map == other.map
+def apply_permutation(p: Permutation32, x) -> list:
+    """Reorder a 32-vector: out[i] = x[map[i]].
 
-    def __hash__(self):
-        return hash(self.map)
-
-
-def apply_permutation(p: Permutation32, x, direction: str = "forward") -> list:
-    """Reorder a 32-vector; pure data movement, zero counted operations.
-
-    forward: out[i] = x[map[i]].  inverse: out[map[i]] = x[i].
+    Pure data movement; zero counted operations.
     """
     if len(x) != p.SIZE:
         raise ValueError(f"expected a {p.SIZE}-vector, got length {len(x)}")
-    if direction == "forward":
-        return [x[p.map[i]] for i in range(p.SIZE)]
-    if direction == "inverse":
-        out = [None] * p.SIZE
-        for i in range(p.SIZE):
-            out[p.map[i]] = x[i]
-        return out
-    raise ValueError("direction must be 'forward' or 'inverse'")
+    return [x[j] for j in p.map]
 
 
 def hadamard_pairs(x, counter: OpCount | None = None) -> list:
@@ -101,7 +79,7 @@ def hadamard_pairs(x, counter: OpCount | None = None) -> list:
     return out
 
 
-def replicate_pairs(x, copies: int = 16) -> list:
+def replicate_pairs(x) -> list:
     """Tile each adjacent pair of a 32-vector into its own block.
 
     Output block k (entries 32k..32k+31) repeats (x[2k], x[2k+1]) sixteen
@@ -111,7 +89,7 @@ def replicate_pairs(x, copies: int = 16) -> list:
         raise ValueError(f"expected a 32-vector, got length {len(x)}")
     out = []
     for k in range(0, 32, 2):
-        out.extend([x[k], x[k + 1]] * copies)
+        out.extend([x[k], x[k + 1]] * 16)
     return out
 
 
@@ -124,142 +102,33 @@ def block_diagonal_scale(x, diag, counter: OpCount | None = None) -> list:
     return [xv * dv for xv, dv in zip(x, diag)]
 
 
-def fan_in_sum(x, counter: OpCount | None = None, width: int = 32) -> list:
-    """Sum consecutive blocks: out[m] = sum over k of x[width*k + m].
+def fan_in_sum(x, counter: OpCount | None = None) -> list:
+    """Sum consecutive 32-blocks: out[m] = sum over k of x[32k + m].
 
     blocks-1 additions per output slot; 480 in total for 512 -> 32.
     """
-    blocks, rem = divmod(len(x), width)
+    blocks, rem = divmod(len(x), 32)
     if rem or blocks < 1:
-        raise ValueError(f"length {len(x)} is not a positive multiple of {width}")
-    out = list(x[:width])
+        raise ValueError(f"length {len(x)} is not a positive multiple of 32")
+    out = list(x[:32])
     for k in range(1, blocks):
-        base = width * k
-        for m in range(width):
+        base = 32 * k
+        for m in range(32):
             out[m] += x[base + m]
     if counter is not None:
-        counter.count(adds=(blocks - 1) * width)
+        counter.count(adds=(blocks - 1) * 32)
     return out
 
 
-class Stage:
-    """A fixed linear map with declared dimensions.
-
-    Subclasses wrap the kernels above so compositions can be applied,
-    checked, and materialized to dense matrices for verification.
-    """
-
-    kind = "?"
-    n_in = 0
-    n_out = 0
-
-    def apply(self, x, counter: OpCount | None = None) -> list:
-        raise NotImplementedError
-
-    def _check(self, x):
-        if len(x) != self.n_in:
-            raise ValueError(f"{self.kind}: expected a {self.n_in}-vector, got {len(x)}")
-
-
-class PermuteStage(Stage):
-    kind = "permute"
-
-    def __init__(self, perm: Permutation32, direction: str = "forward"):
-        self.perm = perm
-        self.direction = direction
-        self.n_in = self.n_out = perm.SIZE
-
-    def apply(self, x, counter=None):
-        self._check(x)
-        return apply_permutation(self.perm, x, self.direction)
-
-
-class HadamardPairsStage(Stage):
-    kind = "hadamard-pairs"
-
-    def __init__(self, pairs: int):
-        self.pairs = pairs
-        self.n_in = self.n_out = 2 * pairs
-
-    def apply(self, x, counter=None):
-        self._check(x)
-        return hadamard_pairs(x, counter)
-
-
-class ReplicateStage(Stage):
-    kind = "replicate"
-
-    def __init__(self, copies: int = 16):
-        self.copies = copies
-        self.n_in = 32
-        self.n_out = 32 * copies
-
-    def apply(self, x, counter=None):
-        self._check(x)
-        return replicate_pairs(x, self.copies)
-
-
-class DiagonalStage(Stage):
-    kind = "diagonal"
-
-    def __init__(self, values):
-        self.values = tuple(values)
-        self.n_in = self.n_out = len(self.values)
-
-    def apply(self, x, counter=None):
-        self._check(x)
-        return block_diagonal_scale(x, self.values, counter)
-
-
-class FanInStage(Stage):
-    kind = "fan-in"
-
-    def __init__(self, arity: int = 16, width: int = 32):
-        self.arity = arity
-        self.width = width
-        self.n_in = arity * width
-        self.n_out = width
-
-    def apply(self, x, counter=None):
-        self._check(x)
-        return fan_in_sum(x, counter, self.width)
-
-
-def _as_stage_list(op) -> list[Stage]:
-    return [op] if isinstance(op, Stage) else list(op)
-
-
-def check_composition(stages: list[Stage]) -> None:
-    for prev, nxt in zip(stages, stages[1:]):
-        if prev.n_out != nxt.n_in:
-            raise ValueError(
-                f"composition error: {prev.kind} emits {prev.n_out}, "
-                f"{nxt.kind} expects {nxt.n_in}"
-            )
-
-
-def apply_stages(stages, x, counter: OpCount | None = None) -> list:
-    stages = _as_stage_list(stages)
-    check_composition(stages)
-    out = x
-    for stage in stages:
-        out = stage.apply(out, counter)
-    return out
-
-
-def materialize(op) -> list[list[float]]:
-    """Dense matrix (list of rows) of a stage or stage sequence.
+def materialize(fn, n_in: int) -> list[list[float]]:
+    """Dense matrix (list of rows) of a linear function of n_in-vectors.
 
     Built column by column from unit vectors, so it is exactly the matrix
-    the staged application implements.
+    that fn implements.
     """
-    stages = _as_stage_list(op)
-    check_composition(stages)
-    n_in = stages[0].n_in
-    n_out = stages[-1].n_out
     cols = []
     for i in range(n_in):
         unit = [0.0] * n_in
         unit[i] = 1.0
-        cols.append(apply_stages(stages, unit))
-    return [[cols[c][r] for c in range(n_in)] for r in range(n_out)]
+        cols.append(fn(unit))
+    return [list(row) for row in zip(*cols)]

@@ -3,8 +3,11 @@
 The direct product accumulates all 1024 signed coefficient products, so
 it doubles as the oracle that every faster engine is checked against.
 Floating-point note: table signs are +/-1, so with integer coefficients
-every intermediate here is exactly representable and results are
-bit-exact; non-finite inputs propagate per IEEE semantics.
+and 32*max|a|*max|b| <= 2**53 every intermediate here is exactly
+representable and results are bit-exact.  The factorized engine needs
+64*max|a|*max|b| <= 2**53 for the same, for example |coefficients| <=
+2**23.  Neither bound is checked.  Non-finite inputs propagate per IEEE
+semantics.
 """
 
 from __future__ import annotations
@@ -152,12 +155,11 @@ def symbolic_mul_matrix(table: CayleyTable | None = None):
 _SYMBOLIC = symbolic_mul_matrix()
 
 
-def build_mul_matrix(b: KaluzaNumber, table: CayleyTable | None = None) -> MulMatrix:
+def build_mul_matrix(b: KaluzaNumber) -> MulMatrix:
     """Materialize M(b) by placing signed copies of b's coefficients."""
-    sym = _SYMBOLIC if table is None else symbolic_mul_matrix(table)
     bv = b.coeffs
     return MulMatrix(
-        [[(bv[j] if s > 0 else -bv[j]) for (s, j) in row] for row in sym]
+        [[(bv[j] if s > 0 else -bv[j]) for (s, j) in row] for row in _SYMBOLIC]
     )
 
 

@@ -173,15 +173,29 @@ def test_dump_factors_includes_a_symmetric_permutation_matrix(capsys):
     code, out, _ = run(capsys, "dump", "factors")
     assert code == 0
     lines = out.splitlines()
-    start = lines.index("# permute 32x32") + 1
-    grid = [line.split() for line in lines[start : start + 32]]
+
+    def block(header, rows):
+        start = lines.index(header) + 1
+        grid = [line.split() for line in lines[start : start + rows]]
+        assert len(grid) == rows
+        return grid
+
+    grid = block("# permute 32x32", 32)
     for r in range(32):
         assert sorted(grid[r]) == ["0"] * 31 + ["1"]
         for c in range(32):
             assert grid[r][c] == grid[c][r]
-    assert "# hadamard-pairs 32x32" in out
-    assert "# replicate 512x32" in out
-    assert "# fan-in 32x512" in out
+    # sixteen copies of H2 = [[1, 1], [1, -1]] on the diagonal
+    h2 = [["1", "1"], ["1", "-1"]]
+    for r, row in enumerate(block("# hadamard-pairs 32x32", 32)):
+        assert row == [h2[r % 2][c % 2] if r // 2 == c // 2 else "0" for c in range(32)]
+    # row 32k+m copies pair member 2k + m%2
+    for r, row in enumerate(block("# replicate 512x32", 512)):
+        k, m = divmod(r, 32)
+        assert row == ["1" if c == 2 * k + m % 2 else "0" for c in range(32)]
+    # row m sums columns 32k+m
+    for m, row in enumerate(block("# fan-in 32x512", 32)):
+        assert row == ["1" if c % 32 == m else "0" for c in range(512)]
 
 
 def test_dump_requires_an_operand_when_one_is_needed(capsys):
