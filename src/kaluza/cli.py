@@ -38,7 +38,13 @@ from .linops import (
     materialize,
     replicate_pairs,
 )
-from .number import KaluzaNumber, build_mul_matrix, compare_printed_blocks, mul_naive
+from .number import (
+    KaluzaNumber,
+    build_mul_matrix,
+    compare_printed_blocks,
+    mul_dense,
+    mul_naive,
+)
 from .prng import Stream
 
 
@@ -301,6 +307,17 @@ def _cmd_bench(args) -> int:
         mul_naive(a, b)
     t_naive = time.perf_counter_ns() - t0
 
+    matrix = build_mul_matrix(b_fixed)
+    t0 = time.perf_counter_ns()
+    for a, _ in pairs:
+        mul_dense(a, matrix)
+    t_dense_reuse = time.perf_counter_ns() - t0
+
+    t0 = time.perf_counter_ns()
+    for a, b in pairs:
+        mul_dense(a, build_mul_matrix(b))
+    t_dense_rebuild = time.perf_counter_ns() - t0
+
     pipe = build_pipeline(b_fixed)
     t0 = time.perf_counter_ns()
     for a, _ in pairs:
@@ -314,6 +331,8 @@ def _cmd_bench(args) -> int:
 
     records = [
         BenchRecord("naive", "direct", reps, t_naive, 1024, 992),
+        BenchRecord("dense", "reuse", reps, t_dense_reuse, 1024, 992),
+        BenchRecord("dense", "rebuild", reps, t_dense_rebuild, 1024, 992),
         BenchRecord("fast", "reuse", reps, t_reuse, 512, 544),
         BenchRecord("fast", "rebuild", reps, t_rebuild, 512, 576),
     ]

@@ -38,7 +38,13 @@ from .linops import (
     materialize,
     replicate_pairs,
 )
-from .number import KaluzaNumber, mul_naive, symbolic_mul_matrix
+from .number import (
+    KaluzaNumber,
+    mul_naive,
+    signed_gather,
+    symbolic_mul_matrix,
+    with_negations,
+)
 
 # Reorder that puts each paired coefficient next to its partner: slots
 # (2t, 2t+1) pick up the pair (map[2t], map[2t+1]).  It is an involution,
@@ -66,7 +72,7 @@ class CVector:
     __slots__ = ("values",)
 
     def __init__(self, values):
-        v = tuple(float(x) for x in values)
+        v = tuple(map(float, values))
         if len(v) != 32:
             raise ValueError(f"expected 32 c-values, got {len(v)}")
         self.values = v
@@ -82,7 +88,7 @@ def compute_c(b: KaluzaNumber, counter: OpCount | None = None) -> CVector:
     """
     paired = apply_permutation(PAIRING_PERMUTATION, b.coeffs)
     mixed = hadamard_pairs(paired, counter)
-    return CVector(v * 0.5 for v in mixed)
+    return CVector([v * 0.5 for v in mixed])
 
 
 class DiagonalSpec:
@@ -93,7 +99,7 @@ class DiagonalSpec:
     pair k) bisymmetric block.
     """
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "_gather")
 
     def __init__(self, blocks):
         bl = tuple(tuple((int(s), int(j)) for (s, j) in block) for block in blocks)
@@ -104,15 +110,11 @@ class DiagonalSpec:
                 if s not in (1, -1) or not 0 <= j <= 31:
                     raise ValueError(f"bad signed c-reference ({s}, {j})")
         self.blocks = bl
+        self._gather = signed_gather(ref for block in bl for ref in block)
 
-    def materialize(self, c: CVector) -> list[float]:
+    def materialize(self, c: CVector) -> tuple[float, ...]:
         """Concrete 512-entry diagonal; sign application only, nothing counted."""
-        cv = c.values
-        out = []
-        for block in self.blocks:
-            for s, j in block:
-                out.append(cv[j] if s > 0 else -cv[j])
-        return out
+        return self._gather(with_negations(c.values))
 
     def referenced_indices(self) -> set[int]:
         return {j for block in self.blocks for (_, j) in block}
@@ -216,7 +218,7 @@ class FactorizedPipeline:
     __slots__ = ("diagonal",)
 
     def __init__(self, c: CVector):
-        self.diagonal = tuple(derive_diagonal_spec().materialize(c))
+        self.diagonal = derive_diagonal_spec().materialize(c)
 
     def apply(self, a: KaluzaNumber, counter: OpCount | None = None) -> KaluzaNumber:
         x = apply_permutation(PAIRING_PERMUTATION, a.coeffs)

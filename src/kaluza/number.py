@@ -12,6 +12,8 @@ semantics.
 
 from __future__ import annotations
 
+from operator import itemgetter, neg
+
 from . import fixtures
 from .cayley import TABLE, BasisProduct, CayleyTable
 from .linops import OpCount
@@ -23,7 +25,7 @@ class KaluzaNumber:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        c = tuple(float(v) for v in coeffs)
+        c = tuple(map(float, coeffs))
         if len(c) != 32:
             raise ValueError(f"expected 32 coefficients, got {len(c)}")
         self.coeffs = c
@@ -50,7 +52,7 @@ class KaluzaNumber:
         values = []
         for line in text.splitlines():
             values.extend(line.split("#", 1)[0].split())
-        return cls(float(v) for v in values)
+        return cls(values)
 
     def to_text(self) -> str:
         return " ".join(f"{v:.17g}" for v in self.coeffs)
@@ -127,7 +129,7 @@ class MulMatrix:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        r = tuple(tuple(float(v) for v in row) for row in rows)
+        r = tuple(tuple(map(float, row)) for row in rows)
         if len(r) != 32 or any(len(row) != 32 for row in r):
             raise ValueError("expected a 32x32 matrix")
         self.rows = r
@@ -152,15 +154,27 @@ def symbolic_mul_matrix(table: CayleyTable | None = None):
     return tuple(tuple(row) for row in grid)
 
 
+def with_negations(values: tuple) -> tuple:
+    """The 32 values followed by their negations (free sign changes)."""
+    return values + tuple(map(neg, values))
+
+
+def signed_gather(refs) -> itemgetter:
+    """Precomputed gather that copies +v_j or -v_j for each (sign, j) in refs.
+
+    Apply it to with_negations(v): slot j holds +v_j, slot 32 + j -v_j.
+    """
+    return itemgetter(*(j if s > 0 else 32 + j for (s, j) in refs))
+
+
 _SYMBOLIC = symbolic_mul_matrix()
+_ROW_GATHERS = tuple(signed_gather(row) for row in _SYMBOLIC)
 
 
 def build_mul_matrix(b: KaluzaNumber) -> MulMatrix:
     """Materialize M(b) by placing signed copies of b's coefficients."""
-    bv = b.coeffs
-    return MulMatrix(
-        [[(bv[j] if s > 0 else -bv[j]) for (s, j) in row] for row in _SYMBOLIC]
-    )
+    signed = with_negations(b.coeffs)
+    return MulMatrix([g(signed) for g in _ROW_GATHERS])
 
 
 def mul_dense(a: KaluzaNumber, m: MulMatrix, counter: OpCount | None = None) -> KaluzaNumber:

@@ -1,6 +1,8 @@
 """Factorized engine: pairing, c-vector, diagonal derivation, pipeline."""
 
+import math
 import random
+import struct
 
 import pytest
 from bitmask_oracle import oracle_basis_mul
@@ -143,13 +145,18 @@ def test_diagonal_concordance_report_is_exactly_the_known_four():
 
 def test_materialized_diagonal_applies_signs_for_free():
     spec = derive_diagonal_spec()
-    c = compute_c(KaluzaNumber(range(1, 33)))
-    values = spec.materialize(c)
-    assert len(values) == 512
-    for k in range(16):
-        for m in range(32):
-            s, j = spec.blocks[k][m]
-            assert values[32 * k + m] == s * c.values[j]
+    specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan]
+    for c in (
+        compute_c(KaluzaNumber(range(1, 33))),
+        CVector(specials + [float(i) for i in range(1, 27)]),
+    ):
+        values = spec.materialize(c)
+        assert len(values) == 512
+        for k in range(16):
+            for m in range(32):
+                s, j = spec.blocks[k][m]
+                want = c.values[j] if s > 0 else -c.values[j]
+                assert struct.pack("<d", values[32 * k + m]) == struct.pack("<d", want)
 
 
 def test_pipeline_for_one_is_the_identity():

@@ -101,6 +101,14 @@ def test_fan_in_examples():
         fan_in_sum([1.0] * 100)
 
 
+def test_fan_in_adds_strictly_left_to_right():
+    # (1e16 + 1.0) rounds back to 1e16, so only block order 0, 1, 2 gives
+    # 0.0; a compensated sum would return 1.0
+    x = [0.0] * 512
+    x[5], x[32 + 5], x[64 + 5] = 1e16, 1.0, -1e16
+    assert fan_in_sum(x)[5] == 0.0
+
+
 def test_replicate_then_fan_in_totals_the_pair_members():
     # block k repeats pair k, and the fan-in sums across blocks, so slot
     # parity selects which pair member gets totalled

@@ -1,5 +1,8 @@
 """KaluzaNumber arithmetic against the independent oracle."""
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +34,8 @@ def test_construction_and_text_round_trip():
     x = KaluzaNumber(range(32))
     assert KaluzaNumber.from_text(x.to_text()) == x
     assert KaluzaNumber.from_text("1 " * 32) == KaluzaNumber([1.0] * 32)
+    with pytest.raises(ValueError):
+        KaluzaNumber.from_text("1 " * 31 + "x")
     with pytest.raises(ValueError):
         KaluzaNumber(range(31))
 
@@ -146,6 +151,16 @@ def test_mul_matrix_of_e1_known_entries():
     m = build_mul_matrix(E[1])
     assert m.rows[0][1] == 1.0  # e1 * e1 = 1
     assert m.rows[6][2] == -1.0  # e2 * e1 = -e6
+
+
+def test_mul_matrix_places_signed_copies_bit_for_bit():
+    specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan]
+    b = KaluzaNumber(specials + [float(i) for i in range(1, 27)])
+    m = build_mul_matrix(b)
+    for k, row in enumerate(symbolic_mul_matrix()):
+        for i, (s, j) in enumerate(row):
+            want = b.coeffs[j] if s > 0 else -b.coeffs[j]
+            assert struct.pack("<d", m.rows[k][i]) == struct.pack("<d", want)
 
 
 def test_dense_apply_equals_naive_on_all_basis_pairs():
