@@ -103,20 +103,22 @@ def block_diagonal_scale(x, diag, counter: OpCount | None = None) -> list:
 
 
 def fan_in_sum(x, counter: OpCount | None = None) -> list:
-    """Sum consecutive 32-blocks: out[m] = sum over k of x[32k + m].
+    """Sum the sixteen 32-blocks of a 512-vector: out[m] = sum over k of x[32k + m].
 
-    blocks-1 additions per output slot; 480 in total for 512 -> 32.
+    Column by column: each slot is one left-nested sum ((a0 + a1) + a2) +
+    ... + a15 of its entries in blocks 0, 1, ..., 15, so the additions
+    run strictly in block order.  15 additions per slot; 480 in total.
     """
-    blocks, rem = divmod(len(x), 32)
-    if rem or blocks < 1:
-        raise ValueError(f"length {len(x)} is not a positive multiple of 32")
-    out = list(x[:32])
-    for k in range(1, blocks):
-        base = 32 * k
-        for m in range(32):
-            out[m] += x[base + m]
+    if len(x) != 512:
+        raise ValueError(f"expected a 512-vector, got length {len(x)}")
+    out = [
+        a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
+        + a8 + a9 + a10 + a11 + a12 + a13 + a14 + a15
+        for a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15
+        in zip(*[x[b:b + 32] for b in range(0, 512, 32)])
+    ]
     if counter is not None:
-        counter.count(adds=(blocks - 1) * 32)
+        counter.count(adds=480)
     return out
 
 

@@ -123,16 +123,16 @@ def mul_naive(a: KaluzaNumber, b: KaluzaNumber, counter: OpCount | None = None) 
 class MulMatrix:
     """Dense 32x32 matrix M(b) with mul(a, b) = M(b) applied to a.
 
-    Every entry is a signed copy of one b-coefficient, never a sum.
+    Every entry is a signed copy of one b-coefficient, never a sum: each
+    row is one precomputed gather over b's coefficients and their
+    negations.  KaluzaNumber has already validated those coefficients.
     """
 
     __slots__ = ("rows",)
 
-    def __init__(self, rows):
-        r = tuple(tuple(map(float, row)) for row in rows)
-        if len(r) != 32 or any(len(row) != 32 for row in r):
-            raise ValueError("expected a 32x32 matrix")
-        self.rows = r
+    def __init__(self, b: KaluzaNumber):
+        signed = with_negations(b.coeffs)
+        self.rows = tuple([g(signed) for g in _ROW_GATHERS])
 
 
 def symbolic_mul_matrix(table: CayleyTable | None = None):
@@ -173,8 +173,7 @@ _ROW_GATHERS = tuple(signed_gather(row) for row in _SYMBOLIC)
 
 def build_mul_matrix(b: KaluzaNumber) -> MulMatrix:
     """Materialize M(b) by placing signed copies of b's coefficients."""
-    signed = with_negations(b.coeffs)
-    return MulMatrix([g(signed) for g in _ROW_GATHERS])
+    return MulMatrix(b)
 
 
 def mul_dense(a: KaluzaNumber, m: MulMatrix, counter: OpCount | None = None) -> KaluzaNumber:

@@ -1,6 +1,8 @@
 """Linear-stage kernels: kernels, counters, dense materializations."""
 
+import math
 import random
+import struct
 
 import pytest
 
@@ -97,8 +99,9 @@ def test_fan_in_examples():
     c = OpCount()
     assert fan_in_sum([1.0] * 512, c) == [16.0] * 32
     assert c.as_tuple() == (0, 480)
-    with pytest.raises(ValueError):
-        fan_in_sum([1.0] * 100)
+    for n in (100, 480, 544, 1024):  # the fan-in takes exactly 512 entries
+        with pytest.raises(ValueError):
+            fan_in_sum([1.0] * n)
 
 
 def test_fan_in_adds_strictly_left_to_right():
@@ -107,6 +110,59 @@ def test_fan_in_adds_strictly_left_to_right():
     x = [0.0] * 512
     x[5], x[32 + 5], x[64 + 5] = 1e16, 1.0, -1e16
     assert fan_in_sum(x)[5] == 0.0
+
+
+def _block_major_fan_in(x):
+    """The earlier block-by-block fan-in loop, kept as the reference."""
+    out = list(x[:32])
+    for k in range(1, 16):
+        base = 32 * k
+        for m in range(32):
+            out[m] += x[base + m]
+    return out
+
+
+FAN_IN_SPECIALS = (
+    0.0, -0.0, 5e-324, -5e-324, 1.5e-310, -2.2250738585072014e-308,
+    1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308,
+    1e16, -1e16, 1.0, -1.0,
+)
+
+
+def _fan_in_vectors():
+    # columns that pin one edge each: all -0.0 (sums to -0.0), all the
+    # smallest subnormal, 1e16 then fifteen 1.0s (each rounds away), and
+    # an overflow that the later -1e308 cannot undo
+    x = [1.0] * 512
+    for k in range(16):
+        x[32 * k : 32 * k + 4] = [-0.0, 5e-324, 1.0, 1e308]
+    x[2], x[32 * 15 + 3] = 1e16, -1e308
+    yield x
+    rng = random.Random(20261018)
+    for trial in range(200):
+        # every fourth vector also holds infinities and NaNs; the rest stay
+        # finite, so overflow in a partial sum is order-dependent and shows
+        pool = FAN_IN_SPECIALS
+        if trial % 4 == 0:
+            pool += (math.inf, -math.inf, math.nan)
+        rate = rng.choice((0.05, 0.25, 0.6, 0.95))
+        yield [
+            rng.choice(pool)
+            if rng.random() < rate
+            else rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
+            for _ in range(512)
+        ]
+
+
+def test_fan_in_matches_the_block_major_loop_bit_for_bit():
+    for x in _fan_in_vectors():
+        want = _block_major_fan_in(x)
+        got = fan_in_sum(x)
+        assert [math.isnan(v) for v in got] == [math.isnan(v) for v in want]
+        for g, w in zip(got, want):
+            if not math.isnan(w):
+                assert struct.pack("<d", g) == struct.pack("<d", w)
+    assert fan_in_sum(next(_fan_in_vectors()))[:4] == [-0.0, 16 * 5e-324, 1e16, math.inf]
 
 
 def test_replicate_then_fan_in_totals_the_pair_members():
