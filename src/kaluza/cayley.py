@@ -129,12 +129,6 @@ class CayleyTable:
         rows += [gsw[i] + gse[i] for i in range(16)]
         return cls(rows)
 
-    def to_text(self) -> str:
-        lines = []
-        for row in self.entries:
-            lines.append(" ".join(format_token(p).rjust(4) for p in row).rstrip())
-        return "\n".join(lines) + "\n"
-
     def entry(self, i: int, j: int) -> BasisProduct:
         if not (0 <= i <= 31 and 0 <= j <= 31):
             raise IndexError(f"basis indices must be in 0..31, got ({i}, {j})")

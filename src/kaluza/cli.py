@@ -7,8 +7,8 @@ output can be diffed across runs and machines.
 
 Operands are given either as a path to a file or inline as a quoted
 string; both hold 32 whitespace-separated decimals, with '#' starting a
-comment.  Non-finite values are rejected here at the boundary; the
-library itself lets them propagate.
+comment, parsed by KaluzaNumber.from_text.  Non-finite values are
+rejected here at the boundary; the library itself lets them propagate.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 import time
-from dataclasses import dataclass
 
 from .cayley import QUADRANTS, TABLE, dump_table, validate_table
 from .fastmul import (
@@ -52,59 +50,28 @@ class _InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
 
 
-_TOKEN = re.compile(r"\S+")
-
-
-def _parse_vector(text: str, origin: str) -> KaluzaNumber:
-    """Parse 32 decimals, reporting 1-based line/column on any failure."""
-    values = []
-    last_pos = (1, 1)
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
-        body = line.split("#", 1)[0]
-        for m in _TOKEN.finditer(body):
-            tok, col = m.group(), m.start() + 1
-            last_pos = (lineno, col)
-            if len(values) >= 32:
-                raise _InputError(
-                    f"{origin}: line {lineno}, column {col}: "
-                    f"unexpected 33rd value {tok!r}"
-                )
-            try:
-                v = float(tok)
-            except ValueError:
-                hint = (
-                    " (if this was meant as a file path, no such file exists)"
-                    if os.sep in tok
-                    else ""
-                )
-                raise _InputError(
-                    f"{origin}: line {lineno}, column {col}: "
-                    f"{tok!r} is not a decimal number{hint}"
-                ) from None
-            if not math.isfinite(v):
-                raise _InputError(
-                    f"{origin}: line {lineno}, column {col}: "
-                    f"non-finite value {tok!r}"
-                )
-            values.append(v)
-    if len(values) != 32:
-        lineno, col = last_pos
-        raise _InputError(
-            f"{origin}: expected 32 values, found {len(values)} "
-            f"(last one at line {lineno}, column {col})"
-        )
-    return KaluzaNumber(values)
-
-
 def _load_operand(arg: str, origin: str) -> KaluzaNumber:
+    """Parse a file path or inline text; reject non-finite values."""
+    text = arg
     if os.path.isfile(arg):
         try:
             with open(arg, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise _InputError(f"{origin}: cannot read {arg}: {e}") from None
-        return _parse_vector(text, arg)
-    return _parse_vector(arg, origin)
+        origin = arg
+    try:
+        x = KaluzaNumber.from_text(text)
+    except ValueError as e:
+        msg = str(e)
+        # the message quotes the bad token; a path-like one was meant as a file
+        if msg.endswith("is not a decimal number") and os.sep in msg:
+            msg += " (if this was meant as a file path, no such file exists)"
+        raise _InputError(f"{origin}: {msg}") from None
+    for i, v in enumerate(x.coeffs):
+        if not math.isfinite(v):
+            raise _InputError(f"{origin}: coefficient {i}: non-finite value {v!r}")
+    return x
 
 
 def _cmd_multiply(args) -> int:
@@ -273,26 +240,6 @@ def _cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-@dataclass
-class BenchRecord:
-    """One timed engine/mode row of a benchmark run."""
-
-    engine: str
-    mode: str
-    reps: int
-    total_ns: int
-    muls: int
-    adds: int
-
-    def __post_init__(self):
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
-
-    @property
-    def mean_ns(self) -> float:
-        return self.total_ns / self.reps
-
-
 def _cmd_bench(args) -> int:
     reps, seed = args.reps, args.seed
     stream = Stream(seed)
@@ -301,57 +248,33 @@ def _cmd_bench(args) -> int:
         for _ in range(reps)
     ]
     b_fixed = pairs[0][1]
-
-    t0 = time.perf_counter_ns()
-    for a, b in pairs:
-        mul_naive(a, b)
-    t_naive = time.perf_counter_ns() - t0
-
     matrix = build_mul_matrix(b_fixed)
-    t0 = time.perf_counter_ns()
-    for a, _ in pairs:
-        mul_dense(a, matrix)
-    t_dense_reuse = time.perf_counter_ns() - t0
-
-    t0 = time.perf_counter_ns()
-    for a, b in pairs:
-        mul_dense(a, build_mul_matrix(b))
-    t_dense_rebuild = time.perf_counter_ns() - t0
-
     pipe = build_pipeline(b_fixed)
-    t0 = time.perf_counter_ns()
-    for a, _ in pairs:
-        mul_fast(a, pipe)
-    t_reuse = time.perf_counter_ns() - t0
-
-    t0 = time.perf_counter_ns()
-    for a, b in pairs:
-        mul_fast(a, build_pipeline(b))
-    t_rebuild = time.perf_counter_ns() - t0
-
-    records = [
-        BenchRecord("naive", "direct", reps, t_naive, 1024, 992),
-        BenchRecord("dense", "reuse", reps, t_dense_reuse, 1024, 992),
-        BenchRecord("dense", "rebuild", reps, t_dense_rebuild, 1024, 992),
-        BenchRecord("fast", "reuse", reps, t_reuse, 512, 544),
-        BenchRecord("fast", "rebuild", reps, t_rebuild, 512, 576),
+    rows = [
+        ("naive", "direct", 1024, 992, mul_naive),
+        ("dense", "reuse", 1024, 992, lambda a, b: mul_dense(a, matrix)),
+        ("dense", "rebuild", 1024, 992, lambda a, b: mul_dense(a, build_mul_matrix(b))),
+        ("fast", "reuse", 512, 544, lambda a, b: mul_fast(a, pipe)),
+        ("fast", "rebuild", 512, 576, lambda a, b: mul_fast(a, build_pipeline(b))),
     ]
+    totals = []
+    for *_, product in rows:
+        t0 = time.perf_counter_ns()
+        for a, b in pairs:
+            product(a, b)
+        totals.append(time.perf_counter_ns() - t0)
+
     if args.format == "csv":
         print("engine,mode,reps,total_ns,mean_ns,muls,adds")
-        for r in records:
-            print(
-                f"{r.engine},{r.mode},{r.reps},{r.total_ns},"
-                f"{r.mean_ns:.1f},{r.muls},{r.adds}"
-            )
+        line = "{},{},{},{},{:.1f},{},{}"
     else:
         print(f"{'engine':<8}{'mode':<10}{'reps':>8}{'total_ns':>14}"
               f"{'mean_ns':>12}{'muls':>6}{'adds':>6}")
-        for r in records:
-            print(
-                f"{r.engine:<8}{r.mode:<10}{r.reps:>8}{r.total_ns:>14}"
-                f"{r.mean_ns:>12.1f}{r.muls:>6}{r.adds:>6}"
-            )
-        ratio = t_naive / t_reuse if t_reuse else float("inf")
+        line = "{:<8}{:<10}{:>8}{:>14}{:>12.1f}{:>6}{:>6}"
+    for (engine, mode, muls, adds, _), total in zip(rows, totals):
+        print(line.format(engine, mode, reps, total, total / reps, muls, adds))
+    if args.format == "text":
+        ratio = totals[0] / totals[3] if totals[3] else float("inf")  # naive / fast reuse
         print(f"wall-clock naive/fast(reuse): {ratio:.2f}x (reported, not asserted)")
     return 0
 

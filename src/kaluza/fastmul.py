@@ -27,7 +27,7 @@ from __future__ import annotations
 from functools import cache
 
 from .cayley import CayleyTable
-from .fixtures import printed_diagonal_blocks, signed_token
+from .fixtures import diff_printed, printed_diagonal_blocks, signed_token
 from .linops import (
     OpCount,
     Permutation32,
@@ -131,6 +131,7 @@ def _half_combo_refs():
     return refs
 
 
+@cache
 def derive_diagonal_spec(table: CayleyTable | None = None) -> DiagonalSpec:
     """Extract the diagonal references from the permuted symbolic matrix.
 
@@ -140,17 +141,8 @@ def derive_diagonal_spec(table: CayleyTable | None = None) -> DiagonalSpec:
     eigenvalues to signed c-references.  Raises if a block is not
     bisymmetric or an eigenvalue is not expressible as +/- one c-value;
     either would mean the basis table and the pairing order disagree.
-    The default table's derivation is computed once and shared.
+    Computed once per table.
     """
-    return _default_diagonal_spec() if table is None else _derive_diagonal_spec(table)
-
-
-@cache
-def _default_diagonal_spec() -> DiagonalSpec:
-    return _derive_diagonal_spec(None)
-
-
-def _derive_diagonal_spec(table: CayleyTable | None) -> DiagonalSpec:
     sym = symbolic_mul_matrix(table)
     pm = PAIRING_PERMUTATION.map
     perm_sym = [[sym[pm[r]][pm[c]] for c in range(32)] for r in range(32)]
@@ -197,15 +189,7 @@ def compare_printed_diagonal(spec: DiagonalSpec | None = None):
     the basis table), so mismatches document typos in the rendering.
     """
     derived = derive_diagonal_spec() if spec is None else spec
-    printed = printed_diagonal_blocks()
-    out = []
-    for k in range(16):
-        for m in range(32):
-            d = derived.blocks[k][m]
-            p = printed[k][m]
-            if d != p:
-                out.append((k, m, signed_token(*d, "c"), signed_token(*p, "c")))
-    return out
+    return diff_printed(derived.blocks, printed_diagonal_blocks(), "c")
 
 
 class FactorizedPipeline:

@@ -8,9 +8,10 @@ symbols).  Those renderings are transcribed here verbatim.
 
 They are never used to build anything.  The embedded basis table is the
 only ground truth; the derivations are mechanical.  Diffing the derived
-structures against these transcriptions (number.compare_printed_blocks,
-fastmul.compare_printed_diagonal) therefore doubles as a typo report for
-the renderings themselves, and the known typos are listed in the README.
+structures against these transcriptions (diff_printed, behind
+number.compare_printed_blocks and fastmul.compare_printed_diagonal)
+therefore doubles as a typo report for the renderings themselves, and
+the known typos are listed in the README.
 """
 
 from __future__ import annotations
@@ -86,6 +87,19 @@ def parse_signed_token(tok: str, letter: str) -> tuple[int, int]:
 
 def signed_token(sign: int, index: int, letter: str) -> str:
     return f"-{letter}{index}" if sign < 0 else f"{letter}{index}"
+
+
+def diff_printed(derived, printed, letter: str):
+    """(row, column, derived token, printed token) for every cell that differs.
+
+    Both grids hold (sign, index) pairs and have the same shape.
+    """
+    return [
+        (r, c, signed_token(*d, letter), signed_token(*p, letter))
+        for r, (d_row, p_row) in enumerate(zip(derived, printed))
+        for c, (d, p) in enumerate(zip(d_row, p_row))
+        if d != p
+    ]
 
 
 def _parse_grid(text: str, letter: str, rows: int, cols: int):

@@ -12,15 +12,15 @@ a dense matrix for verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass
 class OpCount:
     """Running tally of real multiplications and real additions."""
 
-    multiplications: int = 0
-    additions: int = 0
+    __slots__ = ("multiplications", "additions")
+
+    def __init__(self, multiplications: int = 0, additions: int = 0):
+        self.multiplications = multiplications
+        self.additions = additions
 
     def count(self, mults: int = 0, adds: int = 0) -> None:
         if mults < 0 or adds < 0:

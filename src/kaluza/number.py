@@ -12,6 +12,7 @@ semantics.
 
 from __future__ import annotations
 
+from functools import cache
 from operator import itemgetter, neg
 
 from . import fixtures
@@ -48,10 +49,31 @@ class KaluzaNumber:
 
     @classmethod
     def from_text(cls, text: str) -> "KaluzaNumber":
-        """Parse 32 whitespace-separated decimals; '#' starts a comment."""
+        """Parse 32 whitespace-separated decimals; '#' starts a comment.
+
+        Raises ValueError naming the 1-based line and column of a token
+        that is not a decimal or comes after the 32nd value.  Any token
+        float() accepts is taken, non-finite ones included.
+        """
         values = []
-        for line in text.splitlines():
-            values.extend(line.split("#", 1)[0].split())
+        where = "line 1, column 1"
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            body = line.split("#", 1)[0]
+            end = 0
+            for tok in body.split():
+                start = body.index(tok, end)
+                end = start + len(tok)
+                where = f"line {lineno}, column {start + 1}"
+                if len(values) == 32:
+                    raise ValueError(f"{where}: unexpected 33rd value {tok!r}")
+                try:
+                    values.append(float(tok))
+                except ValueError:
+                    raise ValueError(f"{where}: {tok!r} is not a decimal number") from None
+        if len(values) != 32:
+            raise ValueError(
+                f"expected 32 values, found {len(values)} (last one at {where})"
+            )
         return cls(values)
 
     def to_text(self) -> str:
@@ -135,13 +157,14 @@ class MulMatrix:
         self.rows = tuple([g(signed) for g in _ROW_GATHERS])
 
 
+@cache
 def symbolic_mul_matrix(table: CayleyTable | None = None):
     """The multiplication matrix with symbolic entries.
 
     Grid entry (k, i) is the signed b-index that multiplies a_i into
     output coefficient k: e_i * e_j = sign * e_k puts (sign, j) there.
     Each (k, i) slot is hit exactly once because every table row is a
-    signed permutation.
+    signed permutation.  Computed once per table.
     """
     t = (TABLE if table is None else table).entries
     grid = [[None] * 32 for _ in range(32)]
@@ -167,8 +190,9 @@ def signed_gather(refs) -> itemgetter:
     return itemgetter(*(j if s > 0 else 32 + j for (s, j) in refs))
 
 
-_SYMBOLIC = symbolic_mul_matrix()
-_ROW_GATHERS = tuple(signed_gather(row) for row in _SYMBOLIC)
+# symbolic_mul_matrix() and symbolic_mul_matrix(None) are separate cache keys;
+# passing None, as the table=None callers do, derives the default table once.
+_ROW_GATHERS = tuple(signed_gather(row) for row in symbolic_mul_matrix(None))
 
 
 def build_mul_matrix(b: KaluzaNumber) -> MulMatrix:
@@ -197,19 +221,6 @@ def compare_printed_blocks(table: CayleyTable | None = None):
     that disagrees.  The basis table is authoritative, so a mismatch
     documents a typo in the rendering, not an error in the derivation.
     """
-    derived = _SYMBOLIC if table is None else symbolic_mul_matrix(table)
-    printed = fixtures.printed_mul_matrix()
-    out = []
-    for r in range(32):
-        for c in range(32):
-            d, p = derived[r][c], printed[r][c]
-            if (d.sign, d.index) != p:
-                out.append(
-                    (
-                        r,
-                        c,
-                        fixtures.signed_token(d.sign, d.index, "b"),
-                        fixtures.signed_token(p[0], p[1], "b"),
-                    )
-                )
-    return out
+    return fixtures.diff_printed(
+        symbolic_mul_matrix(table), fixtures.printed_mul_matrix(), "b"
+    )

@@ -70,6 +70,9 @@ def test_multiply_rejects_non_finite_values(capsys):
     assert "non-finite" in err
     code, _, err = run(capsys, "multiply", vec(3, "inf"), vec(0))
     assert code == 2
+    code, _, err = run(capsys, "multiply", vec(0), vec(31, "-inf"))
+    assert code == 2
+    assert "operand 2: coefficient 31: non-finite value -inf" in err
 
 
 def test_parse_errors_carry_line_and_column(tmp_path, capsys):
@@ -79,6 +82,14 @@ def test_parse_errors_carry_line_and_column(tmp_path, capsys):
     assert code == 2
     assert "line 2, column 1" in err
     assert "'x'" in err
+
+
+def test_undecodable_operand_file_is_an_input_error(tmp_path, capsys):
+    f = tmp_path / "latin1.txt"
+    f.write_bytes(b"\xff " + vec(0).encode())
+    code, _, err = run(capsys, "multiply", str(f), vec(0))
+    assert code == 2
+    assert f"operand 1: cannot read {f}: 'utf-8' codec can't decode" in err
 
 
 def test_missing_operand_file_reads_as_a_failed_inline_parse(capsys):

@@ -3,9 +3,13 @@
 import math
 import random
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kaluza
 from kaluza.linops import (
     OpCount,
     Permutation32,
@@ -27,6 +31,23 @@ def test_opcount_accumulates_and_rejects_negatives():
     assert c.total() == 10
     with pytest.raises(ValueError):
         c.count(mults=-1)
+
+
+def test_importing_kaluza_loads_neither_dataclasses_nor_inspect():
+    # A fresh isolated interpreter, so nothing else has imported them first.
+    src = str(Path(kaluza.__file__).resolve().parents[1])
+    code = (
+        "import sys; before = set(sys.modules); "
+        f"sys.path.insert(0, {src!r}); import kaluza; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    added = proc.stdout.split()
+    assert "kaluza.linops" in added
+    assert "dataclasses" not in added
+    assert "inspect" not in added
 
 
 def test_permutation_requires_a_bijection():

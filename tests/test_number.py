@@ -34,8 +34,17 @@ def test_construction_and_text_round_trip():
     x = KaluzaNumber(range(32))
     assert KaluzaNumber.from_text(x.to_text()) == x
     assert KaluzaNumber.from_text("1 " * 32) == KaluzaNumber([1.0] * 32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^line 1, column 63: 'x' is not a decimal number$"):
         KaluzaNumber.from_text("1 " * 31 + "x")
+    with pytest.raises(ValueError, match=r"^line 2, column 3: 'x' is not a decimal number$"):
+        KaluzaNumber.from_text("1 2\n3 x 4\n")
+    with pytest.raises(ValueError, match=r"^line 1, column 65: unexpected 33rd value '1'$"):
+        KaluzaNumber.from_text("1 " * 33)
+    with pytest.raises(
+        ValueError,
+        match=r"^expected 32 values, found 31 \(last one at line 3, column 3\)$",
+    ):
+        KaluzaNumber.from_text("1 " * 30 + "\n # two\n  1\n")
     with pytest.raises(ValueError):
         KaluzaNumber(range(31))
 
