@@ -14,7 +14,6 @@ from .cayley import (
     QUADRANTS,
     TABLE,
     VERBATIM_TABLE,
-    BasisProduct,
     CayleyTable,
     basis_mul,
     dump_table,
@@ -57,7 +56,6 @@ from .number import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisProduct",
     "CVector",
     "CayleyTable",
     "DiagonalSpec",

@@ -19,16 +19,6 @@ silently.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-
-class BasisProduct(NamedTuple):
-    """Signed basis index: e_i * e_j = sign * e_index."""
-
-    sign: int
-    index: int
-
-
 QUADRANTS = ("NW", "NE", "SW", "SE")
 
 # Row i, column j holds the token for e_i * e_j (index 0 is the real unit).
@@ -73,25 +63,27 @@ VERBATIM_TABLE_TEXT = """\
 ERRATA = ((2, 22, "e13"),)
 
 
-def parse_token(tok: str) -> BasisProduct:
+def parse_token(tok: str) -> tuple[int, int]:
+    """(sign, index) of a basis token: e_i * e_j = sign * e_index."""
     sign = -1 if tok.startswith("-") else 1
     body = tok[1:] if tok[0] in "+-" else tok
     if body == "1":
-        return BasisProduct(sign, 0)
+        return (sign, 0)
     if body.startswith("e") and body[1:].isdigit():
         index = int(body[1:])
         if 1 <= index <= 31:
-            return BasisProduct(sign, index)
+            return (sign, index)
     raise ValueError(f"bad basis token {tok!r}")
 
 
-def format_token(p: BasisProduct) -> str:
-    body = "1" if p.index == 0 else f"e{p.index}"
-    return f"-{body}" if p.sign < 0 else body
+def format_token(p: tuple[int, int]) -> str:
+    sign, index = p
+    body = "1" if index == 0 else f"e{index}"
+    return f"-{body}" if sign < 0 else body
 
 
 class CayleyTable:
-    """Immutable 32x32 grid of BasisProduct; rows are left factors.
+    """Immutable 32x32 grid of (sign, index) pairs; rows are left factors.
 
     The constructor checks only the shape.  Content rules (identity row
     and column, signed-permutation rows and columns, unit squares on the
@@ -102,9 +94,7 @@ class CayleyTable:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        rows = tuple(
-            tuple(BasisProduct(int(s), int(k)) for (s, k) in row) for row in entries
-        )
+        rows = tuple(tuple((int(s), int(k)) for (s, k) in row) for row in entries)
         if len(rows) != 32 or any(len(r) != 32 for r in rows):
             raise ValueError("expected a 32x32 grid of (sign, index) entries")
         self.entries = rows
@@ -114,22 +104,7 @@ class CayleyTable:
         rows = [[parse_token(t) for t in line.split()] for line in text.strip().splitlines()]
         return cls(rows)
 
-    @classmethod
-    def from_quadrant_texts(cls, nw: str, ne: str, sw: str, se: str) -> "CayleyTable":
-        """Reassemble a table from four dump_table renderings."""
-
-        def grid(text):
-            g = [[parse_token(t) for t in line.split()] for line in text.strip().splitlines()]
-            if len(g) != 16 or any(len(r) != 16 for r in g):
-                raise ValueError("expected a 16x16 quadrant grid")
-            return g
-
-        gnw, gne, gsw, gse = grid(nw), grid(ne), grid(sw), grid(se)
-        rows = [gnw[i] + gne[i] for i in range(16)]
-        rows += [gsw[i] + gse[i] for i in range(16)]
-        return cls(rows)
-
-    def entry(self, i: int, j: int) -> BasisProduct:
+    def entry(self, i: int, j: int) -> tuple[int, int]:
         if not (0 <= i <= 31 and 0 <= j <= 31):
             raise IndexError(f"basis indices must be in 0..31, got ({i}, {j})")
         return self.entries[i][j]
@@ -154,9 +129,9 @@ def _apply_errata(table: CayleyTable) -> CayleyTable:
 TABLE = _apply_errata(VERBATIM_TABLE)
 
 
-def basis_mul(i: int, j: int, table: CayleyTable | None = None) -> BasisProduct:
+def basis_mul(i: int, j: int) -> tuple[int, int]:
     """Product of basis elements e_i and e_j (e_0 is the real unit)."""
-    return (TABLE if table is None else table).entry(i, j)
+    return TABLE.entry(i, j)
 
 
 def validate_table(table: CayleyTable) -> list[str]:
@@ -180,19 +155,19 @@ def validate_table(table: CayleyTable) -> list[str]:
         if ent[0][j] != (1, j):
             problems.append(
                 f"identity-row violation at (0, {j}): got {format_token(ent[0][j])}, "
-                f"want {format_token(BasisProduct(1, j))}"
+                f"want {format_token((1, j))}"
             )
     for i in range(32):
         if ent[i][0] != (1, i):
             problems.append(
                 f"identity-column violation at ({i}, 0): got {format_token(ent[i][0])}, "
-                f"want {format_token(BasisProduct(1, i))}"
+                f"want {format_token((1, i))}"
             )
 
     for i in range(32):
         seen = {}
         for j in range(32):
-            seen.setdefault(ent[i][j].index, []).append(j)
+            seen.setdefault(ent[i][j][1], []).append(j)
         for k, cols in seen.items():
             if len(cols) > 1:
                 problems.append(
@@ -202,7 +177,7 @@ def validate_table(table: CayleyTable) -> list[str]:
     for j in range(32):
         seen = {}
         for i in range(32):
-            seen.setdefault(ent[i][j].index, []).append(i)
+            seen.setdefault(ent[i][j][1], []).append(i)
         for k, rows_ in seen.items():
             if len(rows_) > 1:
                 problems.append(
@@ -211,7 +186,7 @@ def validate_table(table: CayleyTable) -> list[str]:
                 )
 
     for i in range(32):
-        if ent[i][i].index != 0:
+        if ent[i][i][1] != 0:
             problems.append(
                 f"diagonal violation at ({i}, {i}): square is "
                 f"{format_token(ent[i][i])}, not +1 or -1"
@@ -223,7 +198,8 @@ def validate_table(table: CayleyTable) -> list[str]:
 def dump_table(table: CayleyTable, quadrant: str) -> str:
     """Render one 16x16 quadrant (NW, NE, SW or SE) as a text grid.
 
-    Deterministic formatting; parse back with from_quadrant_texts.
+    Deterministic formatting.  Joining the four quadrants row by row
+    gives text that CayleyTable.from_text parses back.
     """
     try:
         qi = QUADRANTS.index(quadrant.upper())

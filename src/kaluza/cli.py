@@ -53,7 +53,7 @@ class _InputError(Exception):
 def _load_operand(arg: str, origin: str) -> KaluzaNumber:
     """Parse a file path or inline text; reject non-finite values."""
     text = arg
-    if os.path.isfile(arg):
+    if os.path.exists(arg):
         try:
             with open(arg, encoding="utf-8") as fh:
                 text = fh.read()

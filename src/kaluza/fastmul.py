@@ -116,9 +116,6 @@ class DiagonalSpec:
         """Concrete 512-entry diagonal; sign application only, nothing counted."""
         return self._gather(with_negations(c.values))
 
-    def referenced_indices(self) -> set[int]:
-        return {j for block in self.blocks for (_, j) in block}
-
 
 def _half_combo_refs():
     # (sign_u, u, sign_v, v) of a halved two-term combination -> (sign, c-index)
@@ -181,15 +178,14 @@ def derive_diagonal_spec(table: CayleyTable | None = None) -> DiagonalSpec:
     return DiagonalSpec(blocks)
 
 
-def compare_printed_diagonal(spec: DiagonalSpec | None = None):
+def compare_printed_diagonal():
     """Diff the derived diagonal references against their rendering.
 
     Returns (block, slot, derived token, printed token) for every
     disagreement.  The derivation is authoritative (it is generated from
     the basis table), so mismatches document typos in the rendering.
     """
-    derived = derive_diagonal_spec() if spec is None else spec
-    return diff_printed(derived.blocks, printed_diagonal_blocks(), "c")
+    return diff_printed(derive_diagonal_spec().blocks, printed_diagonal_blocks(), "c")
 
 
 class FactorizedPipeline:

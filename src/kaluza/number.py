@@ -16,7 +16,7 @@ from functools import cache
 from operator import itemgetter, neg
 
 from . import fixtures
-from .cayley import TABLE, BasisProduct, CayleyTable
+from .cayley import TABLE, CayleyTable
 from .linops import OpCount
 
 
@@ -32,20 +32,12 @@ class KaluzaNumber:
         self.coeffs = c
 
     @classmethod
-    def zero(cls) -> "KaluzaNumber":
-        return cls((0.0,) * 32)
-
-    @classmethod
     def basis(cls, index: int, scale: float = 1.0) -> "KaluzaNumber":
         if not 0 <= index <= 31:
             raise IndexError(f"basis index must be in 0..31, got {index}")
         c = [0.0] * 32
         c[index] = scale
         return cls(c)
-
-    @classmethod
-    def one(cls) -> "KaluzaNumber":
-        return cls.basis(0)
 
     @classmethod
     def from_text(cls, text: str) -> "KaluzaNumber":
@@ -79,20 +71,8 @@ class KaluzaNumber:
     def to_text(self) -> str:
         return " ".join(f"{v:.17g}" for v in self.coeffs)
 
-    def __iter__(self):
-        return iter(self.coeffs)
-
-    def __getitem__(self, i):
-        return self.coeffs[i]
-
-    def __len__(self):
-        return 32
-
     def __eq__(self, other):
         return isinstance(other, KaluzaNumber) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __repr__(self):
         terms = [
@@ -112,8 +92,8 @@ def add(a: KaluzaNumber, b: KaluzaNumber, counter: OpCount | None = None) -> Kal
 
 
 # Flattened table rows for the hot loop below.
-_SIGNS = tuple(tuple(p.sign for p in row) for row in TABLE.entries)
-_INDICES = tuple(tuple(p.index for p in row) for row in TABLE.entries)
+_SIGNS = tuple(tuple(s for s, _ in row) for row in TABLE.entries)
+_INDICES = tuple(tuple(k for _, k in row) for row in TABLE.entries)
 
 
 def mul_naive(a: KaluzaNumber, b: KaluzaNumber, counter: OpCount | None = None) -> KaluzaNumber:
@@ -173,7 +153,7 @@ def symbolic_mul_matrix(table: CayleyTable | None = None):
             s, k = t[i][j]
             if grid[k][i] is not None:
                 raise ValueError(f"table row {i} is not a signed permutation")
-            grid[k][i] = BasisProduct(s, j)
+            grid[k][i] = (s, j)
     return tuple(tuple(row) for row in grid)
 
 

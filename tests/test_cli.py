@@ -98,6 +98,12 @@ def test_missing_operand_file_reads_as_a_failed_inline_parse(capsys):
     assert "not a decimal number" in err
 
 
+def test_directory_operand_is_an_input_error(capsys, tmp_path):
+    code, _, err = run(capsys, "multiply", str(tmp_path), vec(0))
+    assert code == 2
+    assert f"cannot read {tmp_path}:" in err
+
+
 def test_verify_small_run_passes_and_is_deterministic(capsys):
     code, out1, _ = run(capsys, "verify", "--trials", "60", "--seed", "9")
     assert code == 0

@@ -66,7 +66,7 @@ def test_coefficient_pairs_listing():
 
 
 def test_compute_c_of_one():
-    c = compute_c(KaluzaNumber.one())
+    c = compute_c(E[0])
     assert c.values[0] == 0.5 and c.values[1] == 0.5
     assert all(v == 0.0 for v in c.values[2:])
 
@@ -125,7 +125,8 @@ def test_slot_18_of_block_1_resolves_to_plus_c23():
 
 
 def test_every_c_entry_is_referenced():
-    assert derive_diagonal_spec().referenced_indices() == set(range(32))
+    spec = derive_diagonal_spec()
+    assert {j for block in spec.blocks for (_, j) in block} == set(range(32))
 
 
 def test_explicit_table_derivation_matches_the_cached_default():
@@ -141,8 +142,6 @@ def test_uncorrected_table_breaks_bisymmetry_at_block_9_1():
 
 def test_diagonal_concordance_report_is_exactly_the_known_four():
     assert compare_printed_diagonal() == EXPECTED_DIAGONAL_MISMATCHES
-    # passing the spec explicitly goes through the same comparison
-    assert compare_printed_diagonal(derive_diagonal_spec()) == EXPECTED_DIAGONAL_MISMATCHES
 
 
 def test_materialized_diagonal_applies_signs_for_free():
@@ -162,7 +161,7 @@ def test_materialized_diagonal_applies_signs_for_free():
 
 
 def test_pipeline_for_one_is_the_identity():
-    pipe = build_pipeline(KaluzaNumber.one())
+    pipe = build_pipeline(E[0])
     x = KaluzaNumber(range(32))
     assert mul_fast(x, pipe) == x  # integer coefficients stay exact
     for e in E:

@@ -34,7 +34,9 @@ def test_opcount_accumulates_and_rejects_negatives():
 
 
 def test_importing_kaluza_loads_neither_dataclasses_nor_inspect():
-    # A fresh isolated interpreter, so nothing else has imported them first.
+    # A fresh isolated interpreter without site, so nothing else (a .pth
+    # file included) has imported them first.  typing and re are checked
+    # too: each costs import time on every start.
     src = str(Path(kaluza.__file__).resolve().parents[1])
     code = (
         "import sys; before = set(sys.modules); "
@@ -42,12 +44,12 @@ def test_importing_kaluza_loads_neither_dataclasses_nor_inspect():
         "print(' '.join(sorted(set(sys.modules) - before)))"
     )
     proc = subprocess.run(
-        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
     )
     added = proc.stdout.split()
     assert "kaluza.linops" in added
-    assert "dataclasses" not in added
-    assert "inspect" not in added
+    for name in ("dataclasses", "inspect", "typing", "re"):
+        assert name not in added, name
 
 
 def test_permutation_requires_a_bijection():

@@ -58,19 +58,19 @@ def test_from_text_ignores_comments():
 def test_add_identities_and_count():
     x = KaluzaNumber(range(32))
     c = OpCount()
-    assert add(x, KaluzaNumber.zero(), c) == x
+    assert add(x, KaluzaNumber([0] * 32), c) == x
     assert c.as_tuple() == (0, 32)
     two_e1 = add(E[1], E[1])
     assert two_e1.coeffs[1] == 2.0 and sum(v != 0 for v in two_e1.coeffs) == 1
-    a = add(KaluzaNumber.one(), E[5])
+    a = add(E[0], E[5])
     b = add(KaluzaNumber.basis(0, 2.0), KaluzaNumber.basis(5, -1.0))
     assert add(a, b) == KaluzaNumber.basis(0, 3.0)
 
 
 def test_one_is_the_multiplicative_identity():
     x = KaluzaNumber(range(32))
-    assert mul_naive(KaluzaNumber.one(), x) == x
-    assert mul_naive(x, KaluzaNumber.one()) == x
+    assert mul_naive(E[0], x) == x
+    assert mul_naive(x, E[0]) == x
 
 
 def test_basis_product_examples():
@@ -145,12 +145,13 @@ def test_multiplication_is_associative(xs, ys, zs):
 
 
 def test_zero_operand_gives_zero():
-    assert mul_naive(KaluzaNumber.zero(), KaluzaNumber(range(32))) == KaluzaNumber.zero()
-    assert mul_naive(KaluzaNumber(range(32)), KaluzaNumber.zero()) == KaluzaNumber.zero()
+    zero = KaluzaNumber([0] * 32)
+    assert mul_naive(zero, KaluzaNumber(range(32))) == zero
+    assert mul_naive(KaluzaNumber(range(32)), zero) == zero
 
 
 def test_mul_matrix_of_one_is_the_identity():
-    m = build_mul_matrix(KaluzaNumber.one())
+    m = build_mul_matrix(E[0])
     for r in range(32):
         for c in range(32):
             assert m.rows[r][c] == (1.0 if r == c else 0.0)
@@ -190,10 +191,11 @@ def test_dense_apply_equals_naive_bit_exact(xs, ys):
 
 
 def test_dense_apply_on_identity_matrix_and_zero_vector():
-    m = build_mul_matrix(KaluzaNumber.one())
+    m = build_mul_matrix(E[0])
     x = KaluzaNumber(range(32))
+    zero = KaluzaNumber([0] * 32)
     assert mul_dense(x, m) == x
-    assert mul_dense(KaluzaNumber.zero(), m) == KaluzaNumber.zero()
+    assert mul_dense(zero, m) == zero
 
 
 def test_symbolic_matrix_entries():
@@ -202,7 +204,7 @@ def test_symbolic_matrix_entries():
     assert sym[1][0] == (1, 1)  # output 1 takes +b1 from a0
     # each row references every b-index exactly once
     for row in sym:
-        assert sorted(p.index for p in row) == list(range(32))
+        assert sorted(j for _, j in row) == list(range(32))
 
 
 def test_printed_block_rendering_matches_the_derivation():
