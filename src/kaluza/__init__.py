@@ -21,7 +21,6 @@ from .cayley import (
 )
 from .fastmul import (
     PAIRING_PERMUTATION,
-    CVector,
     DiagonalSpec,
     FactorizedPipeline,
     build_pipeline,
@@ -44,7 +43,6 @@ from .linops import (
 )
 from .number import (
     KaluzaNumber,
-    MulMatrix,
     add,
     build_mul_matrix,
     compare_printed_blocks,
@@ -56,13 +54,11 @@ from .number import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CVector",
     "CayleyTable",
     "DiagonalSpec",
     "ERRATA",
     "FactorizedPipeline",
     "KaluzaNumber",
-    "MulMatrix",
     "OpCount",
     "PAIRING_PERMUTATION",
     "Permutation32",

@@ -195,8 +195,8 @@ def validate_table(table: CayleyTable) -> list[str]:
     return problems
 
 
-def dump_table(table: CayleyTable, quadrant: str) -> str:
-    """Render one 16x16 quadrant (NW, NE, SW or SE) as a text grid.
+def dump_table(quadrant: str) -> str:
+    """Render one 16x16 quadrant (NW, NE, SW or SE) of TABLE as a text grid.
 
     Deterministic formatting.  Joining the four quadrants row by row
     gives text that CayleyTable.from_text parses back.
@@ -209,6 +209,6 @@ def dump_table(table: CayleyTable, quadrant: str) -> str:
     c0 = 16 * (qi % 2)
     lines = []
     for i in range(r0, r0 + 16):
-        cells = [format_token(table.entries[i][j]) for j in range(c0, c0 + 16)]
+        cells = [format_token(TABLE.entries[i][j]) for j in range(c0, c0 + 16)]
         lines.append(" ".join(c.rjust(4) for c in cells).rstrip())
     return "\n".join(lines) + "\n"

@@ -24,7 +24,6 @@ from .fastmul import (
     PAIRING_PERMUTATION,
     build_pipeline,
     compare_printed_diagonal,
-    compute_c,
     count_operations,
     derive_diagonal_spec,
     mul_fast,
@@ -159,7 +158,7 @@ def _cmd_verify(args) -> int:
     worst = 0.0
     for b in operands:
         dense = build_pipeline(b).materialize()
-        direct = build_mul_matrix(b).rows
+        direct = build_mul_matrix(b)
         err = max(
             abs(dense[r][c] - direct[r][c]) for r in range(32) for c in range(32)
         )
@@ -286,7 +285,7 @@ def _fmt_matrix(rows) -> str:
 def _cmd_dump(args) -> int:
     what = args.what
     if what == "table-quadrant":
-        print(dump_table(TABLE, args.quadrant))
+        print(dump_table(args.quadrant))
         return 0
     if what == "factors":
         factors = [
@@ -309,10 +308,9 @@ def _cmd_dump(args) -> int:
         raise _InputError(f"dump {what}: an operand is required")
     b = _load_operand(args.operand, "operand")
     if what == "mul-matrix":
-        print(_fmt_matrix(build_mul_matrix(b).rows))
+        print(_fmt_matrix(build_mul_matrix(b)))
     else:  # diagonal
-        c = compute_c(b)
-        values = derive_diagonal_spec().materialize(c)
+        values = build_pipeline(b).diagonal
         for k in range(16):
             row = values[32 * k : 32 * (k + 1)]
             print(f"block {k}: " + " ".join(f"{v:.17g}" for v in row))

@@ -18,8 +18,10 @@ mechanically from the permuted symbolic matrix.  A separately transcribed
 rendering of those references is kept in fixtures and diffed against the
 derivation as a typo cross-check.
 
-FactorizedPipeline.apply is the one description of the chain; its dense
-matrix, checked against the direct one, is built by running apply itself.
+mul_fast is the one description of the chain; the dense matrix of a
+pipeline, checked against the direct one, is built by running mul_fast
+itself.  A prepared right operand is plain data: compute_c returns the
+32 c-values as a tuple and FactorizedPipeline holds only the diagonal.
 """
 
 from __future__ import annotations
@@ -61,34 +63,19 @@ def coefficient_pairs() -> tuple[tuple[int, int], ...]:
     return tuple((m[2 * t], m[2 * t + 1]) for t in range(16))
 
 
-class CVector:
-    """The 32 halved pair sums and differences of a right operand.
+def compute_c(b: KaluzaNumber, counter: OpCount | None = None) -> tuple[float, ...]:
+    """The c-vector: pair up the right operand and halve.
 
-    values[2t] = (b_u + b_v)/2 and values[2t+1] = (b_u - b_v)/2 for the
-    t-th coefficient pair (u, v); these are the only distinct magnitudes
-    on the 512-entry diagonal.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        v = tuple(map(float, values))
-        if len(v) != 32:
-            raise ValueError(f"expected 32 c-values, got {len(v)}")
-        self.values = v
-
-
-def compute_c(b: KaluzaNumber, counter: OpCount | None = None) -> CVector:
-    """Pair up the right operand and halve: 32 additions, 0 multiplications.
-
-    Flat form: c0 = (b0+b1)/2, c1 = (b0-b1)/2, c2 = (b2+b6)/2, ... with
-    the pairs given by coefficient_pairs().  Implemented as the same
+    32 additions, 0 multiplications.  c[2t] = (b_u + b_v)/2 and
+    c[2t+1] = (b_u - b_v)/2 for the t-th pair (u, v) of
+    coefficient_pairs(); these 32 values are the only distinct
+    magnitudes on the 512-entry diagonal.  Implemented as the same
     permute-then-butterfly used by the pipeline itself; the halving is a
     power-of-two scale and stays off the books.
     """
     paired = apply_permutation(PAIRING_PERMUTATION, b.coeffs)
     mixed = hadamard_pairs(paired, counter)
-    return CVector([v * 0.5 for v in mixed])
+    return tuple([v * 0.5 for v in mixed])
 
 
 class DiagonalSpec:
@@ -112,9 +99,14 @@ class DiagonalSpec:
         self.blocks = bl
         self._gather = signed_gather(ref for block in bl for ref in block)
 
-    def materialize(self, c: CVector) -> tuple[float, ...]:
-        """Concrete 512-entry diagonal; sign application only, nothing counted."""
-        return self._gather(with_negations(c.values))
+    def materialize(self, c: tuple[float, ...]) -> tuple[float, ...]:
+        """Concrete 512-entry diagonal from the 32-tuple c.
+
+        Sign application only, nothing counted.
+        """
+        if len(c) != 32:
+            raise ValueError(f"expected 32 c-values, got {len(c)}")
+        return self._gather(with_negations(c))
 
 
 def _half_combo_refs():
@@ -189,30 +181,21 @@ def compare_printed_diagonal():
 
 
 class FactorizedPipeline:
-    """Precomputed pipeline for a fixed right operand.
+    """The 512-entry diagonal of a fixed right operand.
 
-    Immutable after construction; apply it to as many left operands as
-    desired at 512 multiplications and 544 additions each.
+    Immutable after construction; mul_fast applies it to as many left
+    operands as desired at 512 multiplications and 544 additions each.
     """
 
     __slots__ = ("diagonal",)
 
-    def __init__(self, c: CVector):
+    def __init__(self, c: tuple[float, ...]):
         self.diagonal = derive_diagonal_spec().materialize(c)
 
-    def apply(self, a: KaluzaNumber, counter: OpCount | None = None) -> KaluzaNumber:
-        x = apply_permutation(PAIRING_PERMUTATION, a.coeffs)
-        x = hadamard_pairs(x, counter)  # 32 additions
-        x = replicate_pairs(x)
-        x = block_diagonal_scale(x, self.diagonal, counter)  # 512 multiplications
-        x = fan_in_sum(x, counter)  # 480 additions
-        x = hadamard_pairs(x, counter)  # 32 additions
-        x = apply_permutation(PAIRING_PERMUTATION, x)
-        return KaluzaNumber(x)
-
     def materialize(self) -> list[list[float]]:
-        """Dense 32x32 matrix of apply(), built from unit vectors (verification aid)."""
-        return materialize(lambda x: self.apply(KaluzaNumber(x)).coeffs, 32)
+        """Dense 32x32 matrix of mul_fast with this pipeline, built from unit
+        vectors (verification aid)."""
+        return materialize(lambda x: mul_fast(KaluzaNumber(x), self).coeffs, 32)
 
 
 def build_pipeline(b: KaluzaNumber, counter: OpCount | None = None) -> FactorizedPipeline:
@@ -226,7 +209,14 @@ def build_pipeline(b: KaluzaNumber, counter: OpCount | None = None) -> Factorize
 
 def mul_fast(a: KaluzaNumber, p: FactorizedPipeline, counter: OpCount | None = None) -> KaluzaNumber:
     """Multiply via a prebuilt pipeline: 512 multiplications, 544 additions."""
-    return p.apply(a, counter)
+    x = apply_permutation(PAIRING_PERMUTATION, a.coeffs)
+    x = hadamard_pairs(x, counter)  # 32 additions
+    x = replicate_pairs(x)
+    x = block_diagonal_scale(x, p.diagonal, counter)  # 512 multiplications
+    x = fan_in_sum(x, counter)  # 480 additions
+    x = hadamard_pairs(x, counter)  # 32 additions
+    x = apply_permutation(PAIRING_PERMUTATION, x)
+    return KaluzaNumber(x)
 
 
 def count_operations(engine: str, include_preprocessing: bool = True) -> OpCount:

@@ -18,9 +18,9 @@ class OpCount:
 
     __slots__ = ("multiplications", "additions")
 
-    def __init__(self, multiplications: int = 0, additions: int = 0):
-        self.multiplications = multiplications
-        self.additions = additions
+    def __init__(self):
+        self.multiplications = 0
+        self.additions = 0
 
     def count(self, mults: int = 0, adds: int = 0) -> None:
         if mults < 0 or adds < 0:

@@ -122,21 +122,6 @@ def mul_naive(a: KaluzaNumber, b: KaluzaNumber, counter: OpCount | None = None) 
     return KaluzaNumber(out)
 
 
-class MulMatrix:
-    """Dense 32x32 matrix M(b) with mul(a, b) = M(b) applied to a.
-
-    Every entry is a signed copy of one b-coefficient, never a sum: each
-    row is one precomputed gather over b's coefficients and their
-    negations.  KaluzaNumber has already validated those coefficients.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, b: KaluzaNumber):
-        signed = with_negations(b.coeffs)
-        self.rows = tuple([g(signed) for g in _ROW_GATHERS])
-
-
 @cache
 def symbolic_mul_matrix(table: CayleyTable | None = None):
     """The multiplication matrix with symbolic entries.
@@ -175,16 +160,22 @@ def signed_gather(refs) -> itemgetter:
 _ROW_GATHERS = tuple(signed_gather(row) for row in symbolic_mul_matrix(None))
 
 
-def build_mul_matrix(b: KaluzaNumber) -> MulMatrix:
-    """Materialize M(b) by placing signed copies of b's coefficients."""
-    return MulMatrix(b)
+def build_mul_matrix(b: KaluzaNumber) -> tuple[tuple[float, ...], ...]:
+    """The 32 rows of M(b), with mul(a, b) = M(b) applied to a.
+
+    Every entry is a signed copy of one b-coefficient, never a sum: each
+    row is one precomputed gather over b's coefficients and their
+    negations.  KaluzaNumber has already validated those coefficients.
+    """
+    signed = with_negations(b.coeffs)
+    return tuple([g(signed) for g in _ROW_GATHERS])
 
 
-def mul_dense(a: KaluzaNumber, m: MulMatrix, counter: OpCount | None = None) -> KaluzaNumber:
+def mul_dense(a: KaluzaNumber, rows, counter: OpCount | None = None) -> KaluzaNumber:
     """Plain dense matrix-vector product: 1024 multiplications, 992 additions."""
     av = a.coeffs
     out = []
-    for row in m.rows:
+    for row in rows:
         acc = row[0] * av[0]
         for i in range(1, 32):
             acc += row[i] * av[i]

@@ -1,5 +1,7 @@
 """CLI behavior through main(), including exit codes and report shape."""
 
+import hashlib
+
 import pytest
 
 from kaluza.cli import main
@@ -216,6 +218,38 @@ def test_dump_factors_includes_a_symmetric_permutation_matrix(capsys):
     # row m sums columns 32k+m
     for m, row in enumerate(block("# fan-in 32x512", 32)):
         assert row == ["1" if c % 32 == m else "0" for c in range(512)]
+
+
+# -0.0, the smallest subnormal and a value whose square overflows, then 1..29
+FROZEN_OPERAND = "-0.0 5e-324 1e300 " + " ".join(str(i) for i in range(1, 30))
+# sha256 of stdout; any change to these outputs has to be made on purpose
+FROZEN_SHA256 = {
+    ("dump", "factors"):
+        "feb632ce7dc084d9766a7e6b27e345a01f09e1c1ceb045912b0c5a605ec0cf69",
+    ("dump", "mul-matrix", FROZEN_OPERAND):
+        "f9956b4c4df4c7a03cf0464948078163c1d649b053462a9099ba8a955ec2236f",
+    ("dump", "diagonal", FROZEN_OPERAND):
+        "7e3e4c8be2feff4ce103f2f40a1ae89bbba04b20225d86b23db81d3e928fbdea",
+    ("multiply", FROZEN_OPERAND, FROZEN_OPERAND, "--engine", "both"):
+        "1fec92093fa424c5078a466e00a74c4ad4f9b89b6b53f01283767e34a2e5fc2b",
+    ("dump", "table-quadrant", "--quadrant", "NW"):
+        "543963c94a8b414d2920798624fddd841907fd844f606985f17c78cfcd006efe",
+    ("dump", "table-quadrant", "--quadrant", "NE"):
+        "72c427e245fa8406dd5e6b6963be9f75668cf44e54e2e1f7507c294483529963",
+    ("dump", "table-quadrant", "--quadrant", "SW"):
+        "ceac72a725d65bcf91d78c6b325b39774f4b93221a513a935c642f41a9bb77df",
+    ("dump", "table-quadrant", "--quadrant", "SE"):
+        "7d28e330233cb9cc9e6426db84df4d4fb992ca51748bdcf889144953086c7840",
+}
+
+
+def test_dump_and_multiply_outputs_keep_their_frozen_sha256(capsys):
+    got = {}
+    for argv in FROZEN_SHA256:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        got[argv] = hashlib.sha256(out.encode()).hexdigest()
+    assert got == FROZEN_SHA256
 
 
 def test_dump_requires_an_operand_when_one_is_needed(capsys):

@@ -10,10 +10,9 @@ from bitmask_oracle import oracle_basis_mul
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kaluza.cayley import TABLE, VERBATIM_TABLE
+from kaluza.cayley import TABLE, VERBATIM_TABLE, basis_mul
 from kaluza.fastmul import (
     PAIRING_PERMUTATION,
-    CVector,
     DiagonalSpec,
     build_pipeline,
     coefficient_pairs,
@@ -65,19 +64,31 @@ def test_coefficient_pairs_listing():
     )
 
 
+def test_coefficient_pairs_are_the_orbits_of_left_multiplication_by_e1():
+    # e1 squares to +1 and swaps the two members of each pair with sign +1,
+    # so the unsigned butterfly (u + v, u - v) splits M(b) into the +1 and
+    # -1 eigenspaces of left multiplication by e1.
+    assert basis_mul(1, 1) == (1, 0)
+    pairs = coefficient_pairs()
+    for u, v in pairs:
+        assert basis_mul(1, u) == (1, v)
+        assert basis_mul(1, v) == (1, u)
+    assert sorted(i for pair in pairs for i in pair) == list(range(32))
+
+
 def test_compute_c_of_one():
     c = compute_c(E[0])
-    assert c.values[0] == 0.5 and c.values[1] == 0.5
-    assert all(v == 0.0 for v in c.values[2:])
+    assert c[0] == 0.5 and c[1] == 0.5
+    assert all(v == 0.0 for v in c[2:])
 
 
 def test_compute_c_pair_examples():
     b = KaluzaNumber([0, 0, 1, 0, 0, 0, 1] + [0] * 25)  # b2 = b6 = 1
     c = compute_c(b)
-    assert c.values[2] == 1.0 and c.values[3] == 0.0
+    assert c[2] == 1.0 and c[3] == 0.0
     b = KaluzaNumber([0] * 30 + [1, -1])  # b30 = 1, b31 = -1
     c = compute_c(b)
-    assert c.values[30] == 0.0 and c.values[31] == 1.0
+    assert c[30] == 0.0 and c[31] == 1.0
 
 
 def test_compute_c_counts_32_additions_and_no_multiplications():
@@ -90,13 +101,13 @@ def test_cvector_recovers_the_original_pairs():
     b = KaluzaNumber(range(3, 35))
     c = compute_c(b)
     for t, (u, v) in enumerate(coefficient_pairs()):
-        hi, lo = c.values[2 * t], c.values[2 * t + 1]
+        hi, lo = c[2 * t], c[2 * t + 1]
         assert (hi + lo, hi - lo) == (b.coeffs[u], b.coeffs[v])
 
 
 def test_cvector_rejects_wrong_length():
-    with pytest.raises(ValueError):
-        CVector([0.0] * 31)
+    with pytest.raises(ValueError, match="expected 32 c-values, got 31"):
+        derive_diagonal_spec().materialize((0.0,) * 31)
 
 
 def test_diagonal_spec_shape_and_sign_validation():
@@ -149,14 +160,14 @@ def test_materialized_diagonal_applies_signs_for_free():
     specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan]
     for c in (
         compute_c(KaluzaNumber(range(1, 33))),
-        CVector(specials + [float(i) for i in range(1, 27)]),
+        tuple(specials + [float(i) for i in range(1, 27)]),
     ):
         values = spec.materialize(c)
         assert len(values) == 512
         for k in range(16):
             for m in range(32):
                 s, j = spec.blocks[k][m]
-                want = c.values[j] if s > 0 else -c.values[j]
+                want = c[j] if s > 0 else -c[j]
                 assert struct.pack("<d", values[32 * k + m]) == struct.pack("<d", want)
 
 
@@ -212,7 +223,7 @@ def test_count_operations_summary():
 def test_materialized_pipeline_equals_the_direct_matrix_for_basis_operands():
     for e in E:
         dense = build_pipeline(e).materialize()
-        direct = build_mul_matrix(e).rows
+        direct = build_mul_matrix(e)
         for r in range(32):
             for c in range(32):
                 assert dense[r][c] == direct[r][c], (e, r, c)
@@ -223,7 +234,7 @@ def test_materialized_pipeline_equals_the_direct_matrix_for_basis_operands():
 def test_materialized_pipeline_matches_the_direct_matrix_on_reals(bs):
     b = KaluzaNumber(bs)
     dense = build_pipeline(b).materialize()
-    direct = build_mul_matrix(b).rows
+    direct = build_mul_matrix(b)
     err = max(abs(dense[r][c] - direct[r][c]) for r in range(32) for c in range(32))
     assert err <= 1e-12
 

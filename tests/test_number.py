@@ -154,13 +154,13 @@ def test_mul_matrix_of_one_is_the_identity():
     m = build_mul_matrix(E[0])
     for r in range(32):
         for c in range(32):
-            assert m.rows[r][c] == (1.0 if r == c else 0.0)
+            assert m[r][c] == (1.0 if r == c else 0.0)
 
 
 def test_mul_matrix_of_e1_known_entries():
     m = build_mul_matrix(E[1])
-    assert m.rows[0][1] == 1.0  # e1 * e1 = 1
-    assert m.rows[6][2] == -1.0  # e2 * e1 = -e6
+    assert m[0][1] == 1.0  # e1 * e1 = 1
+    assert m[6][2] == -1.0  # e2 * e1 = -e6
 
 
 def test_mul_matrix_places_signed_copies_bit_for_bit():
@@ -170,7 +170,7 @@ def test_mul_matrix_places_signed_copies_bit_for_bit():
     for k, row in enumerate(symbolic_mul_matrix()):
         for i, (s, j) in enumerate(row):
             want = b.coeffs[j] if s > 0 else -b.coeffs[j]
-            assert struct.pack("<d", m.rows[k][i]) == struct.pack("<d", want)
+            assert struct.pack("<d", m[k][i]) == struct.pack("<d", want)
 
 
 def test_dense_apply_equals_naive_on_all_basis_pairs():
