@@ -13,10 +13,11 @@ one-time additions to prepare the right operand (the c-vector, which
 carries the factor 1/2).  The direct method costs 1024 and 992.
 
 The 512 diagonal entries are not stored numerically by the derivation:
-each one is a signed reference into the 32-entry c-vector, extracted
-mechanically from the permuted symbolic matrix.  A separately transcribed
-rendering of those references is kept in fixtures and diffed against the
-derivation as a typo cross-check.
+each one is a signed reference into the 32-entry c-vector, resolved in
+closed form from the 2x2 blocks of the symbolic matrix over the sixteen
+coefficient pairs.  A separately transcribed rendering of those
+references is kept in fixtures and diffed against the derivation as a
+typo cross-check.
 
 mul_fast is the one description of the chain; the dense matrix of a
 pipeline, checked against the direct one, is built by running mul_fast
@@ -109,64 +110,40 @@ class DiagonalSpec:
         return self._gather(with_negations(c))
 
 
-def _half_combo_refs():
-    # (sign_u, u, sign_v, v) of a halved two-term combination -> (sign, c-index)
-    refs = {}
-    for t, (u, v) in enumerate(coefficient_pairs()):
-        refs[(1, u, 1, v)] = (1, 2 * t)
-        refs[(-1, u, -1, v)] = (-1, 2 * t)
-        refs[(1, u, -1, v)] = (1, 2 * t + 1)
-        refs[(-1, u, 1, v)] = (-1, 2 * t + 1)
-    return refs
-
-
 @cache
 def derive_diagonal_spec(table: CayleyTable | None = None) -> DiagonalSpec:
-    """Extract the diagonal references from the permuted symbolic matrix.
+    """Resolve each 2x2 block over the coefficient pairs to two c-references.
 
-    Permute rows and columns of the symbolic multiplication matrix with
-    the pairing order, cut the result into 2x2 blocks, require each block
-    to be bisymmetric, and resolve each block's half-sum/half-difference
-    eigenvalues to signed c-references.  Raises if a block is not
-    bisymmetric or an eigenvalue is not expressible as +/- one c-value;
-    either would mean the basis table and the pairing order disagree.
-    Computed once per table.
+    Each pair is an orbit {u, e1*u} of left multiplication by e1, which
+    commutes with M(b); so the block at (row pair r, column pair k) is
+    [[A, B], [B, A]] with A = +/-b_u, B = +/-b_v for one pair t = (u, v),
+    and its eigenvalues (A+B)/2, (A-B)/2 are +/-c[2t] or +/-c[2t+1].
+    Raises if a block is not bisymmetric or (A, B) is not such a pair in
+    that order: the table and the pairing would disagree.  Cached per table.
     """
     sym = symbolic_mul_matrix(table)
-    pm = PAIRING_PERMUTATION.map
-    perm_sym = [[sym[pm[r]][pm[c]] for c in range(32)] for r in range(32)]
-
-    refs = _half_combo_refs()
-
-    def resolve(first, second, r, k):
-        (sa, ja), (sb, jb) = first, second
-        hit = refs.get((sa, ja, sb, jb)) or refs.get((sb, jb, sa, ja))
-        if hit is None:
-            raise ValueError(
-                f"block ({r}, {k}): eigenvalue "
-                f"({signed_token(sa, ja, 'b')} {'+' if sb > 0 else '-'} b{jb})/2 "
-                f"is not +/- one c-value"
-            )
-        return hit
-
-    blocks = []
-    for k in range(16):
-        block = []
-        for r in range(16):
-            a = perm_sym[2 * r][2 * k]
-            b = perm_sym[2 * r][2 * k + 1]
-            c = perm_sym[2 * r + 1][2 * k]
-            d = perm_sym[2 * r + 1][2 * k + 1]
+    pairs = coefficient_pairs()
+    pair_index = {pair: t for t, pair in enumerate(pairs)}
+    blocks = [[] for _ in pairs]
+    for k, (uk, vk) in enumerate(pairs):
+        for r, (ur, vr) in enumerate(pairs):
+            a, b, c, d = sym[ur][uk], sym[ur][vk], sym[vr][uk], sym[vr][vk]
             if a != d or b != c:
                 raise ValueError(
                     f"block ({r}, {k}) of the permuted matrix is not bisymmetric: "
                     f"[[{signed_token(*a, 'b')}, {signed_token(*b, 'b')}], "
                     f"[{signed_token(*c, 'b')}, {signed_token(*d, 'b')}]]"
                 )
-            # s_{2r} = (A+B)/2, s_{2r+1} = (A-B)/2
-            block.append(resolve(a, b, r, k))
-            block.append(resolve(a, (-b[0], b[1]), r, k))
-        blocks.append(block)
+            t = pair_index.get((a[1], b[1]))
+            if t is None:
+                raise ValueError(
+                    f"block ({r}, {k}): A = {signed_token(*a, 'b')} and B = "
+                    f"{signed_token(*b, 'b')} do not refer to a pair's first "
+                    f"member and its partner"
+                )
+            # s_{2r} = (A+B)/2 and s_{2r+1} = (A-B)/2, each +/- c[2t] or c[2t+1]
+            sa, sb = a[0], b[0]
+            blocks[k] += [(sa, 2 * t + (sa != sb)), (sa, 2 * t + (sa == sb))]
     return DiagonalSpec(blocks)
 
 

@@ -2,12 +2,16 @@
 
 The direct product accumulates all 1024 signed coefficient products, so
 it doubles as the oracle that every faster engine is checked against.
-Floating-point note: table signs are +/-1, so with integer coefficients
-and 32*max|a|*max|b| <= 2**53 every intermediate here is exactly
-representable and results are bit-exact.  The factorized engine needs
-64*max|a|*max|b| <= 2**53 for the same, for example |coefficients| <=
-2**23.  Neither bound is checked.  Non-finite inputs propagate per IEEE
-semantics.
+Floating-point note (nothing here is checked at run time): table signs
+are +/-1, so with integer coefficients and 32*max|a|*max|b| <= 2**53
+every intermediate is exact and results are bit-exact; the factorized
+engine needs 64*max|a|*max|b| <= 2**53, e.g. |coefficients| <= 2**23.
+Results stay finite while 32*max|a|*max|b| <= 2**1023 here.  The
+factorized engine doubles a and b in butterflies, sums 16 diagonal
+products and doubles again, so it needs max|a|, max|b| <= 2**1022 and
+64*max|a|*max|b| <= 2**1023; b = [1e308]*32 times e0 gives NaN.  Its
+halving also loses subnormals: 2**-1074*e3 times e0 gives 0.0, not
+5e-324.  Non-finite inputs propagate per IEEE semantics.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ class KaluzaNumber:
         float() accepts is taken, non-finite ones included.
         """
         values = []
-        where = "line 1, column 1"
         for lineno, line in enumerate(text.splitlines(), start=1):
             body = line.split("#", 1)[0]
             end = 0
@@ -63,9 +66,8 @@ class KaluzaNumber:
                 except ValueError:
                     raise ValueError(f"{where}: {tok!r} is not a decimal number") from None
         if len(values) != 32:
-            raise ValueError(
-                f"expected 32 values, found {len(values)} (last one at {where})"
-            )
+            found = f"expected 32 values, found {len(values)}"
+            raise ValueError(f"{found} (last one at {where})" if values else found)
         return cls(values)
 
     def to_text(self) -> str:

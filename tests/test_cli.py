@@ -100,6 +100,12 @@ def test_missing_operand_file_reads_as_a_failed_inline_parse(capsys):
     assert "not a decimal number" in err
 
 
+def test_empty_operand_reports_no_location(capsys):
+    code, _, err = run(capsys, "multiply", "", vec(0))
+    assert code == 2
+    assert err == "error: operand 1: expected 32 values, found 0\n"
+
+
 def test_directory_operand_is_an_input_error(capsys, tmp_path):
     code, _, err = run(capsys, "multiply", str(tmp_path), vec(0))
     assert code == 2

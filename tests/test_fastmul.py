@@ -10,6 +10,7 @@ from bitmask_oracle import oracle_basis_mul
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import kaluza.fastmul as fastmul
 from kaluza.cayley import TABLE, VERBATIM_TABLE, basis_mul
 from kaluza.fastmul import (
     PAIRING_PERMUTATION,
@@ -74,6 +75,11 @@ def test_coefficient_pairs_are_the_orbits_of_left_multiplication_by_e1():
         assert basis_mul(1, u) == (1, v)
         assert basis_mul(1, v) == (1, u)
     assert sorted(i for pair in pairs for i in pair) == list(range(32))
+    # The first members span a subalgebra F.  derive_diagonal_spec relies
+    # on it: e_u * e_j = +/-e_w with u, w in F puts j in F, so A in every
+    # 2x2 block refers to a first member and B to its partner.
+    firsts = {u for u, _ in pairs}
+    assert {basis_mul(x, y)[1] for x in firsts for y in firsts} == firsts
 
 
 def test_compute_c_of_one():
@@ -149,6 +155,19 @@ def test_explicit_table_derivation_matches_the_cached_default():
 def test_uncorrected_table_breaks_bisymmetry_at_block_9_1():
     with pytest.raises(ValueError, match=r"block \(9, 1\).*not bisymmetric"):
         derive_diagonal_spec(VERBATIM_TABLE)
+
+
+def test_pairs_taken_partner_first_are_rejected(monkeypatch):
+    # Reversed pairs keep every block bisymmetric, but A then refers to a
+    # pair's second member, which the closed-form resolution does not cover.
+    pairs = tuple((v, u) for u, v in coefficient_pairs())
+    monkeypatch.setattr(fastmul, "coefficient_pairs", lambda: pairs)
+    with pytest.raises(
+        ValueError,
+        match=r"^block \(0, 0\): A = b0 and B = b1 do not refer to a pair's "
+        r"first member and its partner$",
+    ):
+        derive_diagonal_spec.__wrapped__(None)
 
 
 def test_diagonal_concordance_report_is_exactly_the_known_four():
@@ -280,6 +299,17 @@ def test_fast_tracks_naive_within_1e_12_on_reals(xs, ys):
     got = mul_fast(a, build_pipeline(b)).coeffs
     want = mul_naive(a, b).coeffs
     scale = max(abs(v) for v in want) or 1.0
+    assert max(abs(g - w) for g, w in zip(got, want)) / scale <= 1e-12
+
+
+def test_fast_is_finite_and_tracks_naive_on_the_safe_side_of_overflow():
+    # 64 * max|a| * max|b| = 2**1023 and max|a|, max|b| <= 2**1022: every
+    # stage of the fast engine stays finite (the range note in number.py)
+    a, b = KaluzaNumber([1.0] * 32), KaluzaNumber([2.0**1017] * 32)
+    got = mul_fast(a, build_pipeline(b)).coeffs
+    want = mul_naive(a, b).coeffs
+    assert all(map(math.isfinite, got))
+    scale = max(abs(v) for v in want)
     assert max(abs(g - w) for g, w in zip(got, want)) / scale <= 1e-12
 
 

@@ -45,6 +45,10 @@ def test_construction_and_text_round_trip():
         match=r"^expected 32 values, found 31 \(last one at line 3, column 3\)$",
     ):
         KaluzaNumber.from_text("1 " * 30 + "\n # two\n  1\n")
+    with pytest.raises(ValueError, match=r"^expected 32 values, found 0$"):
+        KaluzaNumber.from_text("")
+    with pytest.raises(ValueError, match=r"^expected 32 values, found 0$"):
+        KaluzaNumber.from_text("# no values\n  # none here either\n")
     with pytest.raises(ValueError):
         KaluzaNumber(range(31))
 
