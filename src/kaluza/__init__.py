@@ -43,7 +43,6 @@ from .linops import (
 )
 from .number import (
     KaluzaNumber,
-    add,
     build_mul_matrix,
     compare_printed_blocks,
     mul_dense,
@@ -65,7 +64,6 @@ __all__ = [
     "QUADRANTS",
     "TABLE",
     "VERBATIM_TABLE",
-    "add",
     "apply_permutation",
     "basis_mul",
     "block_diagonal_scale",

@@ -164,26 +164,17 @@ def validate_table(table: CayleyTable) -> list[str]:
                 f"want {format_token((1, i))}"
             )
 
-    for i in range(32):
-        seen = {}
-        for j in range(32):
-            seen.setdefault(ent[i][j][1], []).append(j)
-        for k, cols in seen.items():
-            if len(cols) > 1:
-                problems.append(
-                    f"row {i}: signed-permutation violation, result index {k} "
-                    f"appears in columns {cols}"
-                )
-    for j in range(32):
-        seen = {}
-        for i in range(32):
-            seen.setdefault(ent[i][j][1], []).append(i)
-        for k, rows_ in seen.items():
-            if len(rows_) > 1:
-                problems.append(
-                    f"column {j}: signed-permutation violation, result index {k} "
-                    f"appears in rows {rows_}"
-                )
+    for axis, across, lines in (("row", "columns", ent), ("column", "rows", zip(*ent))):
+        for i, line in enumerate(lines):
+            seen = {}
+            for j, (_, k) in enumerate(line):
+                seen.setdefault(k, []).append(j)
+            for k, at in seen.items():
+                if len(at) > 1:
+                    problems.append(
+                        f"{axis} {i}: signed-permutation violation, result index {k} "
+                        f"appears in {across} {at}"
+                    )
 
     for i in range(32):
         if ent[i][i][1] != 0:

@@ -52,20 +52,21 @@ class _InputError(Exception):
 def _load_operand(arg: str, origin: str) -> KaluzaNumber:
     """Parse a file path or inline text; reject non-finite values."""
     text = arg
+    hint = " (if this was meant as a file path, no such file exists)"
     if os.path.exists(arg):
         try:
             with open(arg, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as e:
             raise _InputError(f"{origin}: cannot read {arg}: {e}") from None
-        origin = arg
+        origin, hint = arg, ""
     try:
         x = KaluzaNumber.from_text(text)
     except ValueError as e:
         msg = str(e)
-        # the message quotes the bad token; a path-like one was meant as a file
+        # the message quotes the bad token; a path-like inline one was meant as a file
         if msg.endswith("is not a decimal number") and os.sep in msg:
-            msg += " (if this was meant as a file path, no such file exists)"
+            msg += hint
         raise _InputError(f"{origin}: {msg}") from None
     for i, v in enumerate(x.coeffs):
         if not math.isfinite(v):
@@ -76,24 +77,17 @@ def _load_operand(arg: str, origin: str) -> KaluzaNumber:
 def _cmd_multiply(args) -> int:
     a = _load_operand(args.left, "operand 1")
     b = _load_operand(args.right, "operand 2")
+    results = []
     if args.engine in ("naive", "both"):
-        dn = mul_naive(a, b)
+        results.append(mul_naive(a, b))
     if args.engine in ("fast", "both"):
-        df = mul_fast(a, build_pipeline(b))
-    if args.engine == "naive":
-        print(dn.to_text())
-    elif args.engine == "fast":
-        print(df.to_text())
-    else:
-        print(dn.to_text())
-        print(df.to_text())
-        diff = max(abs(x - y) for x, y in zip(dn.coeffs, df.coeffs))
+        results.append(mul_fast(a, build_pipeline(b)))
+    for x in results:
+        print(x.to_text())
+    if len(results) == 2:
+        diff = max(abs(x - y) for x, y in zip(*(r.coeffs for r in results)))
         print(f"max abs difference: {diff:.17g}")
     return 0
-
-
-def _basis_numbers():
-    return [KaluzaNumber.basis(i) for i in range(32)]
 
 
 def _vector_rel_error(got: KaluzaNumber, want: KaluzaNumber) -> float:
@@ -126,7 +120,7 @@ def _cmd_verify(args) -> int:
     for p in problems[:10]:
         lines.append(f"         {p}")
 
-    basis = _basis_numbers()
+    basis = [KaluzaNumber.basis(i) for i in range(32)]
 
     # 2. all 1024 basis products, fast against direct, bit-exact
     bad_pairs = 0
@@ -170,24 +164,18 @@ def _cmd_verify(args) -> int:
     )
 
     # 5. concordance with the transcribed renderings (typo report, not failure)
-    bm = compare_printed_blocks()
-    report(
-        len(bm) == 0,
-        f"rendering check, multiplication matrix: {len(bm)} mismatches"
-        + ("" if not bm else " (basis table is authoritative)"),
-        warn=True,
-    )
-    for r, c, d, p in bm:
-        lines.append(f"         row {r}, column {c}: derived {d}, printed {p}")
-    dm = compare_printed_diagonal()
-    report(
-        len(dm) == 0,
-        f"rendering check, diagonal tables: {len(dm)} mismatches"
-        + ("" if not dm else " (basis table is authoritative)"),
-        warn=True,
-    )
-    for k, m, d, p in dm:
-        lines.append(f"         block {k}, slot {m}: derived {d}, printed {p}")
+    for label, where, mismatches in (
+        ("multiplication matrix", "row {}, column {}", compare_printed_blocks()),
+        ("diagonal tables", "block {}, slot {}", compare_printed_diagonal()),
+    ):
+        report(
+            not mismatches,
+            f"rendering check, {label}: {len(mismatches)} mismatches"
+            + (" (basis table is authoritative)" if mismatches else ""),
+            warn=True,
+        )
+        for i, j, d, p in mismatches:
+            lines.append(f"         {where.format(i, j)}: derived {d}, printed {p}")
 
     # 6. operation counts
     cn = count_operations("naive")

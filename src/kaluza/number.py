@@ -36,11 +36,11 @@ class KaluzaNumber:
         self.coeffs = c
 
     @classmethod
-    def basis(cls, index: int, scale: float = 1.0) -> "KaluzaNumber":
+    def basis(cls, index: int) -> "KaluzaNumber":
         if not 0 <= index <= 31:
             raise IndexError(f"basis index must be in 0..31, got {index}")
         c = [0.0] * 32
-        c[index] = scale
+        c[index] = 1.0
         return cls(c)
 
     @classmethod
@@ -83,14 +83,6 @@ class KaluzaNumber:
             if v != 0.0
         ]
         return f"KaluzaNumber<{' + '.join(terms) if terms else '0'}>"
-
-
-def add(a: KaluzaNumber, b: KaluzaNumber, counter: OpCount | None = None) -> KaluzaNumber:
-    """Componentwise sum; 32 real additions."""
-    out = [x + y for x, y in zip(a.coeffs, b.coeffs)]
-    if counter is not None:
-        counter.count(adds=32)
-    return KaluzaNumber(out)
 
 
 # Flattened table rows for the hot loop below.

@@ -97,6 +97,23 @@ def test_validation_flags_bad_sign_and_bad_index():
     assert any("index 40 out of range" in r for r in report)
 
 
+def test_validation_reports_every_violation_in_rule_order():
+    rows = [list(r) for r in TABLE.entries]
+    rows[5][6] = rows[5][5]
+    rows[0][3] = (1, 4)
+    rows[4][4] = (2, 40)
+    assert validate_table(CayleyTable(rows)) == [
+        "entry (4, 4): sign 2 is not +1 or -1",
+        "entry (4, 4): result index 40 out of range",
+        "identity-row violation at (0, 3): got e4, want e3",
+        "row 0: signed-permutation violation, result index 4 appears in columns [3, 4]",
+        "row 5: signed-permutation violation, result index 0 appears in columns [5, 6]",
+        "column 3: signed-permutation violation, result index 4 appears in rows [0, 13]",
+        "column 6: signed-permutation violation, result index 0 appears in rows [5, 6]",
+        "diagonal violation at (4, 4): square is e40, not +1 or -1",
+    ]
+
+
 def test_dump_cells():
     nw = dump_table("NW").splitlines()
     assert nw[1].split()[2] == "e6"  # row e1, column e2

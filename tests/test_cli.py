@@ -100,6 +100,14 @@ def test_missing_operand_file_reads_as_a_failed_inline_parse(capsys):
     assert "not a decimal number" in err
 
 
+def test_operand_file_with_a_slashed_token_gets_no_missing_file_hint(tmp_path, capsys):
+    f = tmp_path / "half.txt"
+    f.write_text("1/2 " + " ".join(["0"] * 31) + "\n")
+    code, _, err = run(capsys, "multiply", str(f), vec(0))
+    assert code == 2
+    assert err == f"error: {f}: line 1, column 1: '1/2' is not a decimal number\n"
+
+
 def test_empty_operand_reports_no_location(capsys):
     code, _, err = run(capsys, "multiply", "", vec(0))
     assert code == 2
@@ -238,6 +246,10 @@ FROZEN_SHA256 = {
         "7e3e4c8be2feff4ce103f2f40a1ae89bbba04b20225d86b23db81d3e928fbdea",
     ("multiply", FROZEN_OPERAND, FROZEN_OPERAND, "--engine", "both"):
         "1fec92093fa424c5078a466e00a74c4ad4f9b89b6b53f01283767e34a2e5fc2b",
+    ("multiply", FROZEN_OPERAND, FROZEN_OPERAND, "--engine", "naive"):
+        "4a1fa31211a5bac96057fb15362c9d3eb5f9bb84e88d40351d59b067628d6287",
+    ("multiply", FROZEN_OPERAND, FROZEN_OPERAND, "--engine", "fast"):
+        "35b1a03c66b3e373b42a7d1e0b0e4ae77292a2c31131ed34995b5af10b6762c6",
     ("dump", "table-quadrant", "--quadrant", "NW"):
         "543963c94a8b414d2920798624fddd841907fd844f606985f17c78cfcd006efe",
     ("dump", "table-quadrant", "--quadrant", "NE"):
