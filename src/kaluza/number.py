@@ -2,9 +2,14 @@
 
 The direct product accumulates all 1024 signed coefficient products, so
 it doubles as the oracle that every faster engine is checked against.
+It runs as straight-line code generated from the basis table
+(_direct.py, written by ``python -m kaluza.codegen``): one left-nested
+sum per output slot, its terms in table-row order.  The dense product
+has the same shape by hand, one left-nested sum per matrix row.
 Floating-point note (nothing here is checked at run time): table signs
 are +/-1, so with integer coefficients and 32*max|a|*max|b| <= 2**53
-every intermediate is exact and results are bit-exact; the factorized
+every intermediate is exact and results are bit-exact (a test reaches
+2**53 in one slot with |coefficients| = 2**24); the factorized
 engine needs 64*max|a|*max|b| <= 2**53, e.g. |coefficients| <= 2**23.
 Results stay finite while 32*max|a|*max|b| <= 2**1023 here.  The
 factorized engine doubles a and b in butterflies, sums 16 diagonal
@@ -19,7 +24,7 @@ from __future__ import annotations
 from functools import cache
 from operator import itemgetter, neg
 
-from . import fixtures
+from . import _direct, fixtures
 from .cayley import TABLE, CayleyTable
 from .linops import OpCount
 
@@ -85,34 +90,18 @@ class KaluzaNumber:
         return f"KaluzaNumber<{' + '.join(terms) if terms else '0'}>"
 
 
-# Flattened table rows for the hot loop below.
-_SIGNS = tuple(tuple(s for s, _ in row) for row in TABLE.entries)
-_INDICES = tuple(tuple(k for _, k in row) for row in TABLE.entries)
-
-
 def mul_naive(a: KaluzaNumber, b: KaluzaNumber, counter: OpCount | None = None) -> KaluzaNumber:
     """Direct product: route all 1024 signed terms through the table.
 
-    Exactly 1024 real multiplications and 992 real additions: the
-    identity row deposits the first term into every output slot (a move,
-    not an addition), and each of the remaining 31 rows adds one term
-    per column.
+    Exactly 1024 real multiplications and 992 real additions: each output
+    slot takes one term from every table row, and its first term, from
+    the identity row, is a move, not an addition.  The straight-line code
+    in _direct.py, generated from the table, sums each slot in row order;
+    the counts are tallied from that code.
     """
-    av, bv = a.coeffs, b.coeffs
-    a0 = av[0]
-    out = [a0 * bj for bj in bv]  # row 0 is the identity row: e0*ej = ej
-    for i in range(1, 32):
-        ai = av[i]
-        signs = _SIGNS[i]
-        idxs = _INDICES[i]
-        for j in range(32):
-            t = ai * bv[j]
-            if signs[j] < 0:
-                out[idxs[j]] -= t
-            else:
-                out[idxs[j]] += t
+    out = _direct.mul_direct(a.coeffs, b.coeffs)
     if counter is not None:
-        counter.count(mults=1024, adds=992)
+        counter.count(mults=_direct.MULTIPLICATIONS, adds=_direct.ADDITIONS)
     return KaluzaNumber(out)
 
 
@@ -166,14 +155,24 @@ def build_mul_matrix(b: KaluzaNumber) -> tuple[tuple[float, ...], ...]:
 
 
 def mul_dense(a: KaluzaNumber, rows, counter: OpCount | None = None) -> KaluzaNumber:
-    """Plain dense matrix-vector product: 1024 multiplications, 992 additions."""
-    av = a.coeffs
-    out = []
-    for row in rows:
-        acc = row[0] * av[0]
-        for i in range(1, 32):
-            acc += row[i] * av[i]
-        out.append(acc)
+    """Plain dense matrix-vector product: 1024 multiplications, 992 additions.
+
+    Each row is one left-nested sum r0*a0 + r1*a1 + ... + r31*a31.  A row
+    that is not 32 entries long, or a matrix that is not 32 rows, raises
+    ValueError.
+    """
+    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15,
+     a16, a17, a18, a19, a20, a21, a22, a23, a24, a25, a26, a27, a28, a29, a30, a31) = a.coeffs
+    out = [
+        r0 * a0 + r1 * a1 + r2 * a2 + r3 * a3 + r4 * a4 + r5 * a5 + r6 * a6 + r7 * a7
+        + r8 * a8 + r9 * a9 + r10 * a10 + r11 * a11 + r12 * a12 + r13 * a13 + r14 * a14
+        + r15 * a15 + r16 * a16 + r17 * a17 + r18 * a18 + r19 * a19 + r20 * a20 + r21 * a21
+        + r22 * a22 + r23 * a23 + r24 * a24 + r25 * a25 + r26 * a26 + r27 * a27 + r28 * a28
+        + r29 * a29 + r30 * a30 + r31 * a31
+        for (r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14, r15,
+             r16, r17, r18, r19, r20, r21, r22, r23, r24, r25, r26, r27, r28, r29, r30, r31)
+        in rows
+    ]
     if counter is not None:
         counter.count(mults=1024, adds=992)
     return KaluzaNumber(out)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import kaluza
 from bitmask_oracle import oracle_mul
-from kaluza.cayley import VERBATIM_TABLE
+from kaluza.cayley import TABLE, VERBATIM_TABLE
 from kaluza.linops import OpCount
 from kaluza.number import (
     KaluzaNumber,
@@ -193,6 +193,44 @@ def test_dense_apply_equals_naive_bit_exact(xs, ys):
     got = mul_dense(a, build_mul_matrix(b), c)
     assert c.as_tuple() == (1024, 992)
     assert got.coeffs == mul_naive(a, b).coeffs
+
+
+def test_dense_rejects_a_matrix_that_is_not_32_by_32():
+    a = KaluzaNumber(range(32))
+    rows = build_mul_matrix(KaluzaNumber(range(1, 33)))
+    for bad in (
+        rows[:31],
+        (rows[0][:31],) + rows[1:],
+        (rows[0] + (1.0,),) + rows[1:],
+    ):
+        with pytest.raises(ValueError):
+            mul_dense(a, bad)
+
+
+def _same_sign_slot_operands(m: int, k: int):
+    """Integer operands with every coefficient +-m whose 32 terms in
+    output slot k all equal +m*m, and their exact product."""
+    a, b = [m] * 32, [0] * 32
+    for row in TABLE.entries:
+        for j, (s, slot) in enumerate(row):
+            if slot == k:
+                b[j] = s * m
+    exact = [0] * 32
+    for i, row in enumerate(TABLE.entries):
+        for j, (s, slot) in enumerate(row):
+            exact[slot] += s * a[i] * b[j]
+    assert exact[k] == 32 * m * m
+    return KaluzaNumber(a), KaluzaNumber(b), exact
+
+
+def test_direct_engines_are_exact_at_their_integer_bound():
+    # 32 * max|a| * max|b| = 2**53 with |coefficients| = 2**24: the slot
+    # whose terms share one sign reaches 2**53, and no partial sum of any
+    # slot leaves the range where doubles hold every integer
+    for k in range(32):
+        a, b, exact = _same_sign_slot_operands(2**24, k)
+        assert list(map(int, mul_naive(a, b).coeffs)) == exact, k
+        assert list(map(int, mul_dense(a, build_mul_matrix(b)).coeffs)) == exact, k
 
 
 def test_dense_apply_on_identity_matrix_and_zero_vector():
