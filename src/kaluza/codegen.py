@@ -34,22 +34,23 @@ def source() -> str:
     for terms in slots:
         mults += len(terms)
         adds += len(terms) - 1
-        first = terms[0]
-        terms = [first[2:] if first[0] == "+" else "-" + first[2:], *terms[1:]]
+        sign, term = terms[0].split(" ", 1)
+        terms[0] = term if sign == "+" else "-" + term
         lines = (
             " ".join(terms[n:n + TERMS_PER_LINE])
             for n in range(0, len(terms), TERMS_PER_LINE)
         )
         body.append("        " + "\n        ".join(lines) + ",\n")
-    names = ", ".join(f"{{0}}{i}" for i in range(32))
+    a_names = ", ".join(f"a{i}" for i in range(32))
+    b_names = ", ".join(f"b{i}" for i in range(32))
     return (
         HEADER
         + '"""Straight-line direct product: one left-nested sum per output slot."""\n\n'
         + f"MULTIPLICATIONS = {mults}\n"
         + f"ADDITIONS = {adds}\n\n\n"
         + "def mul_direct(av, bv):\n"
-        + f"    {names.format('a')} = av\n"
-        + f"    {names.format('b')} = bv\n"
+        + f"    {a_names} = av\n"
+        + f"    {b_names} = bv\n"
         + "    return (\n"
         + "".join(body)
         + "    )\n"
