@@ -1,22 +1,23 @@
-"""Write the straight-line direct product from the basis table.
+"""Write the straight-line direct product from the multiplication matrix.
 
     python -m kaluza.codegen
 
-regenerates ``_direct.py`` next to this file.  Output slot k of a * b
-collects one term a_i * b_j from each table row i, where e_i * e_j =
-+-e_k.  The generated function returns one expression per slot, with
-its 32 terms in row order (i = 0..31), left-nested, so the table alone
-fixes the order of its additions: a negative entry becomes
-``acc - a_i * b_j``, never a negation.  The module is committed, because
-unmarshalling its bytecode is cheaper than compiling the source at
-import.  Its operation counts are tallied from the terms it emits.
+regenerates ``_direct.py`` next to this file.  Output slot k of a * b is
+row k of M(b) applied to a: entry i of row k of symbolic_mul_matrix() is
+(s, j), where e_i * e_j = s*e_k, and contributes s * a_i * b_j.  The
+generated function returns one expression per slot, with its 32 terms in
+column order (i = 0..31), left-nested, so the matrix alone fixes the
+order of its additions: a negative entry becomes ``acc - a_i * b_j``,
+never a negation.  The module is committed, because unmarshalling its
+bytecode is cheaper than compiling the source at import.  Its operation
+counts are tallied from the terms it emits.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .cayley import TABLE
+from .number import symbolic_mul_matrix
 
 TARGET = Path(__file__).with_name("_direct.py")
 HEADER = "# generated by python -m kaluza.codegen from TABLE; do not edit\n"
@@ -25,13 +26,10 @@ TERMS_PER_LINE = 8
 
 def source() -> str:
     """The text of the generated module."""
-    slots = [[] for _ in range(32)]
-    for i, row in enumerate(TABLE.entries):
-        for j, (s, k) in enumerate(row):
-            slots[k].append(f"{'-' if s < 0 else '+'} a{i} * b{j}")
     mults = adds = 0
     body = []
-    for terms in slots:
+    for row in symbolic_mul_matrix():
+        terms = [f"{'-' if s < 0 else '+'} a{i} * b{j}" for i, (s, j) in enumerate(row)]
         mults += len(terms)
         adds += len(terms) - 1
         sign, term = terms[0].split(" ", 1)

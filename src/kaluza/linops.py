@@ -31,9 +31,6 @@ class OpCount:
     def as_tuple(self) -> tuple[int, int]:
         return (self.multiplications, self.additions)
 
-    def total(self) -> int:
-        return self.multiplications + self.additions
-
 
 class Permutation32:
     """A bijection on {0..31}.  Application fills slot i from map[i]."""

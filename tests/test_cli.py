@@ -1,10 +1,13 @@
 """CLI behavior through main(), including exit codes and report shape."""
 
 import hashlib
+import math
 
 import pytest
 
+import kaluza.cli
 from kaluza.cli import main
+from kaluza.number import KaluzaNumber
 
 
 def vec(index: int, scale: str = "1") -> str:
@@ -141,6 +144,45 @@ def test_verify_reports_the_diagonal_rendering_mismatches_as_warnings(capsys):
     assert "block 12, slot 29: derived c10, printed c11" in out
     assert "[PASS] rendering check, multiplication matrix: 0 mismatches" in out
     assert "[FAIL]" not in out
+
+
+def test_verify_fails_when_the_fast_engine_returns_nan_on_reals(capsys, monkeypatch):
+    # slot 5, not 0: a plain max() skips a NaN that does not come first
+    mul_fast = kaluza.cli.mul_fast
+
+    def nan_in_real_products(a, pipe):
+        out = mul_fast(a, pipe).coeffs
+        if all(v.is_integer() for v in out):
+            return KaluzaNumber(out)
+        return KaluzaNumber(out[:5] + (math.nan,) + out[6:])
+
+    monkeypatch.setattr(kaluza.cli, "mul_fast", nan_in_real_products)
+    code, out, _ = run(capsys, "verify", "--trials", "50", "--seed", "1")
+    assert code == 1
+    fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert fails == [
+        "[FAIL] random products, real coefficients: 50 trials within 1e-12 "
+        "relative (seed 1, max nan)"
+    ]
+    assert out.strip().endswith("result: FAIL")
+
+
+def test_verify_fails_on_a_nan_entry_in_the_direct_matrix(capsys, monkeypatch):
+    build_mul_matrix = kaluza.cli.build_mul_matrix
+
+    def nan_at_3_7(b):
+        rows = [list(row) for row in build_mul_matrix(b)]
+        rows[3][7] = math.nan
+        return rows
+
+    monkeypatch.setattr(kaluza.cli, "build_mul_matrix", nan_at_3_7)
+    code, out, _ = run(capsys, "verify", "--trials", "1")
+    assert code == 1
+    assert (
+        "[FAIL] factorization: dense chain matches direct matrix for 32 basis "
+        "and 20 random operands (max abs error nan)\n"
+    ) in out
+    assert out.strip().endswith("result: FAIL")
 
 
 def test_verify_rejects_nonpositive_trials(capsys):

@@ -1,0 +1,70 @@
+"""Exactness by symbolic execution: each engine run on formal symbols.
+
+The committed engines run unchanged on the polynomial scalar of
+symbolic.py, with a = (a0, ..., a31) and b = (b0, ..., b31).  Only the
+name KaluzaNumber in kaluza.number and kaluza.fastmul is replaced, by a
+wrapper that skips the float() pass.  Every output slot must equal the
+structure tensor exactly, which proves the engine bilinear and equal to
+the algebra's product for every input, with each rational coefficient
+(the factorized engine's 1/2 and the butterflies' doublings) exact.
+"""
+
+import pytest
+from bitmask_oracle import oracle_basis_mul
+from symbolic import Poly, symbols
+
+import kaluza.fastmul
+import kaluza.number
+from kaluza.fastmul import build_pipeline, mul_fast
+from kaluza.number import build_mul_matrix, mul_dense, mul_naive
+
+A, B = symbols("a"), symbols("b")
+
+
+class Raw:
+    """A KaluzaNumber that keeps its coefficients as given."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
+
+
+@pytest.fixture
+def symbolic(monkeypatch):
+    monkeypatch.setattr(kaluza.number, "KaluzaNumber", Raw)
+    monkeypatch.setattr(kaluza.fastmul, "KaluzaNumber", Raw)
+    return Raw(A), Raw(B)
+
+
+@pytest.fixture(scope="module")
+def structure_tensor():
+    """Slot k of a * b: the sum of s * a_i * b_j over e_i * e_j = s * e_k,
+    from the generator relations, not from the package's table."""
+    slots = [Poly({}) for _ in range(32)]
+    for i in range(32):
+        for j in range(32):
+            s, k = oracle_basis_mul(i, j)
+            slots[k] += s * A[i] * B[j]
+    return tuple(slots)
+
+
+def test_structure_tensor_has_one_term_per_basis_pair(structure_tensor):
+    assert sorted(m for slot in structure_tensor for m in slot.terms) == sorted(
+        (f"a{i}", f"b{j}") for i in range(32) for j in range(32)
+    )
+
+
+def test_naive_engine_is_exactly_the_structure_tensor(symbolic, structure_tensor):
+    a, b = symbolic
+    assert mul_naive(a, b).coeffs == structure_tensor
+
+
+def test_dense_engine_is_exactly_the_structure_tensor(symbolic, structure_tensor):
+    a, b = symbolic
+    assert mul_dense(a, build_mul_matrix(b)).coeffs == structure_tensor
+
+
+def test_fast_engine_is_exactly_the_structure_tensor(symbolic, structure_tensor):
+    a, b = symbolic
+    assert mul_fast(a, build_pipeline(b)).coeffs == structure_tensor
