@@ -7,83 +7,25 @@ sum (512 multiplications, 576 additions including the one-time pairing
 of the right operand).  Both engines are exactly instrumented and agree
 bit-exactly on integer inputs with 64*max|a|*max|b| <= 2**53, for example
 |coefficients| <= 2**23; the bound is not checked.
+
+The top level holds the engines' entry points.  Everything else imports
+from its module: kaluza.cayley, .number, .linops or .fastmul.
 """
 
-from .cayley import (
-    ERRATA,
-    QUADRANTS,
-    TABLE,
-    VERBATIM_TABLE,
-    CayleyTable,
-    basis_mul,
-    dump_table,
-    validate_table,
-)
-from .fastmul import (
-    PAIRING_PERMUTATION,
-    DiagonalSpec,
-    FactorizedPipeline,
-    build_pipeline,
-    coefficient_pairs,
-    compare_printed_diagonal,
-    compute_c,
-    count_operations,
-    derive_diagonal_spec,
-    mul_fast,
-)
-from .linops import (
-    OpCount,
-    Permutation32,
-    apply_permutation,
-    block_diagonal_scale,
-    fan_in_sum,
-    hadamard_pairs,
-    materialize,
-    replicate_pairs,
-)
-from .number import (
-    KaluzaNumber,
-    build_mul_matrix,
-    compare_printed_blocks,
-    mul_dense,
-    mul_naive,
-    symbolic_mul_matrix,
-)
+from .fastmul import build_pipeline, derive_diagonal_spec, mul_fast
+from .linops import OpCount
+from .number import KaluzaNumber, build_mul_matrix, mul_dense, mul_naive
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CayleyTable",
-    "DiagonalSpec",
-    "ERRATA",
-    "FactorizedPipeline",
     "KaluzaNumber",
     "OpCount",
-    "PAIRING_PERMUTATION",
-    "Permutation32",
-    "QUADRANTS",
-    "TABLE",
-    "VERBATIM_TABLE",
-    "apply_permutation",
-    "basis_mul",
-    "block_diagonal_scale",
     "build_mul_matrix",
     "build_pipeline",
-    "coefficient_pairs",
-    "compare_printed_blocks",
-    "compare_printed_diagonal",
-    "compute_c",
-    "count_operations",
     "derive_diagonal_spec",
-    "dump_table",
-    "fan_in_sum",
-    "hadamard_pairs",
-    "materialize",
     "mul_dense",
     "mul_fast",
     "mul_naive",
-    "replicate_pairs",
-    "symbolic_mul_matrix",
-    "validate_table",
     "__version__",
 ]

@@ -104,11 +104,6 @@ class CayleyTable:
         rows = [[parse_token(t) for t in line.split()] for line in text.strip().splitlines()]
         return cls(rows)
 
-    def entry(self, i: int, j: int) -> tuple[int, int]:
-        if not (0 <= i <= 31 and 0 <= j <= 31):
-            raise IndexError(f"basis indices must be in 0..31, got ({i}, {j})")
-        return self.entries[i][j]
-
     def __eq__(self, other):
         return isinstance(other, CayleyTable) and self.entries == other.entries
 
@@ -127,11 +122,6 @@ def _apply_errata(table: CayleyTable) -> CayleyTable:
 
 
 TABLE = _apply_errata(VERBATIM_TABLE)
-
-
-def basis_mul(i: int, j: int) -> tuple[int, int]:
-    """Product of basis elements e_i and e_j (e_0 is the real unit)."""
-    return TABLE.entry(i, j)
 
 
 def validate_table(table: CayleyTable) -> list[str]:

@@ -65,6 +65,6 @@ class Poly:
         return " + ".join(f"{c}*{'*'.join(m) or '1'}" for m, c in sorted(self.terms.items())) or "0"
 
 
-def symbols(prefix: str) -> tuple:
-    """The 32 symbols prefix0 .. prefix31."""
-    return tuple(Poly.symbol(f"{prefix}{i}") for i in range(32))
+def symbols(prefix: str, n: int = 32) -> tuple:
+    """The n symbols prefix0 .. prefix(n-1)."""
+    return tuple(Poly.symbol(f"{prefix}{i}") for i in range(n))

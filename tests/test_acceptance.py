@@ -162,5 +162,5 @@ def test_09_embedded_table_is_valid_and_matches_the_generator_oracle():
     assert validate_table(TABLE) == []
     for i in range(32):
         for j in range(32):
-            assert TABLE.entry(i, j) == oracle_basis_mul(i, j)
+            assert TABLE.entries[i][j] == oracle_basis_mul(i, j)
     print("[PASS] table validity: identity, signed permutations, unit squares")

@@ -9,7 +9,6 @@ from kaluza.cayley import (
     TABLE,
     VERBATIM_TABLE,
     CayleyTable,
-    basis_mul,
     dump_table,
     format_token,
     parse_token,
@@ -21,15 +20,15 @@ def test_every_cell_matches_the_generator_oracle():
     # all 1024 products, against an independently constructed algebra
     for i in range(32):
         for j in range(32):
-            assert basis_mul(i, j) == oracle_basis_mul(i, j), (i, j)
+            assert TABLE.entries[i][j] == oracle_basis_mul(i, j), (i, j)
 
 
 def test_known_cells():
-    assert basis_mul(0, 17) == (1, 17)
-    assert basis_mul(1, 2) == (1, 6)
-    assert basis_mul(2, 1) == (-1, 6)
-    assert basis_mul(3, 3) == (-1, 0)
-    assert basis_mul(31, 31) == (-1, 0)
+    assert TABLE.entries[0][17] == (1, 17)
+    assert TABLE.entries[1][2] == (1, 6)
+    assert TABLE.entries[2][1] == (-1, 6)
+    assert TABLE.entries[3][3] == (-1, 0)
+    assert TABLE.entries[31][31] == (-1, 0)
 
 
 def test_errata_is_the_only_difference_from_the_verbatim_text():
@@ -40,22 +39,13 @@ def test_errata_is_the_only_difference_from_the_verbatim_text():
         if VERBATIM_TABLE.entries[i][j] != TABLE.entries[i][j]
     ]
     assert diffs == [(i, j) for i, j, _ in ERRATA] == [(2, 22)]
-    assert VERBATIM_TABLE.entry(2, 22) == (-1, 13)
-    assert TABLE.entry(2, 22) == (1, 13)
+    assert VERBATIM_TABLE.entries[2][22] == (-1, 13)
+    assert TABLE.entries[2][22] == (1, 13)
 
 
 def test_corrected_cell_agrees_with_oracle_and_verbatim_does_not():
-    assert TABLE.entry(2, 22) == oracle_basis_mul(2, 22)
-    assert VERBATIM_TABLE.entry(2, 22) != oracle_basis_mul(2, 22)
-
-
-def test_entry_rejects_out_of_range_indices():
-    with pytest.raises(IndexError):
-        TABLE.entry(32, 0)
-    with pytest.raises(IndexError):
-        TABLE.entry(0, -1)
-    with pytest.raises(IndexError):
-        basis_mul(5, 99)
+    assert TABLE.entries[2][22] == oracle_basis_mul(2, 22)
+    assert VERBATIM_TABLE.entries[2][22] != oracle_basis_mul(2, 22)
 
 
 def test_token_round_trip():
@@ -137,7 +127,7 @@ def test_dump_rejects_unknown_quadrant():
 
 def test_diagonal_squares():
     # e1..e5 square to +1, +1, -1, -1, -1; beyond that alternates by grade
-    squares = [TABLE.entry(i, i) for i in range(32)]
+    squares = [TABLE.entries[i][i] for i in range(32)]
     assert squares[0] == (1, 0)
     assert [s for s, _ in squares[1:6]] == [1, 1, -1, -1, -1]
     assert all(k == 0 for _, k in squares)

@@ -69,6 +69,21 @@ def test_package_exports_resolve_without_duplicates():
     assert sorted(namespace) == sorted(kaluza.__all__)
 
 
+def test_package_exports_only_the_entry_points_callers_import():
+    # Everything else imports from its module: kaluza.cayley, .number, .linops or .fastmul.
+    assert sorted(kaluza.__all__) == [
+        "KaluzaNumber",
+        "OpCount",
+        "__version__",
+        "build_mul_matrix",
+        "build_pipeline",
+        "derive_diagonal_spec",
+        "mul_dense",
+        "mul_fast",
+        "mul_naive",
+    ]
+
+
 def test_one_is_the_multiplicative_identity():
     x = KaluzaNumber(range(32))
     assert mul_naive(E[0], x) == x

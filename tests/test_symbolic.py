@@ -7,7 +7,14 @@ wrapper that skips the float() pass.  Every output slot must equal the
 structure tensor exactly, which proves the engine bilinear and equal to
 the algebra's product for every input, with each rational coefficient
 (the factorized engine's 1/2 and the butterflies' doublings) exact.
+
+The factorized engine is also checked stage by stage: each fixed stage
+equals the factor matrix that `kaluza dump factors` prints (test_cli
+freezes that output by its sha256), and each diagonal entry equals the
+eigenvalue of its 2x2 block of M(b).
 """
+
+from fractions import Fraction
 
 import pytest
 from bitmask_oracle import oracle_basis_mul
@@ -15,7 +22,14 @@ from symbolic import Poly, symbols
 
 import kaluza.fastmul
 import kaluza.number
-from kaluza.fastmul import build_pipeline, mul_fast
+from kaluza.fastmul import PAIRING_PERMUTATION, build_pipeline, coefficient_pairs, mul_fast
+from kaluza.linops import (
+    apply_permutation,
+    fan_in_sum,
+    hadamard_pairs,
+    materialize,
+    replicate_pairs,
+)
 from kaluza.number import build_mul_matrix, mul_dense, mul_naive
 
 A, B = symbols("a"), symbols("b")
@@ -68,3 +82,36 @@ def test_dense_engine_is_exactly_the_structure_tensor(symbolic, structure_tensor
 def test_fast_engine_is_exactly_the_structure_tensor(symbolic, structure_tensor):
     a, b = symbolic
     assert mul_fast(a, build_pipeline(b)).coeffs == structure_tensor
+
+
+@pytest.mark.parametrize(
+    "stage, n",
+    [
+        (lambda x: apply_permutation(PAIRING_PERMUTATION, x), 32),
+        (hadamard_pairs, 32),
+        (replicate_pairs, 32),
+        (fan_in_sum, 512),
+    ],
+    ids=["permute", "hadamard-pairs", "replicate", "fan-in"],
+)
+def test_each_fixed_stage_is_exactly_its_factor_matrix(stage, n):
+    x = symbols("x", n)
+    m = materialize(stage, n)
+    want = [Poly({}) for _ in m]
+    for r, row in enumerate(m):
+        for c, entry in enumerate(row):
+            if entry:
+                want[r] += entry * x[c]
+    assert stage(x) == want
+
+
+def test_each_diagonal_entry_is_the_eigenvalue_of_its_block():
+    m = build_mul_matrix(Raw(B))
+    diagonal = build_pipeline(Raw(B)).diagonal
+    half = Fraction(1, 2)
+    pairs = coefficient_pairs()
+    for k, (uk, vk) in enumerate(pairs):
+        for r, (ur, _) in enumerate(pairs):
+            a, b = m[ur][uk], m[ur][vk]
+            assert diagonal[32 * k + 2 * r] == (a + b) * half, (r, k)
+            assert diagonal[32 * k + 2 * r + 1] == (a - b) * half, (r, k)
