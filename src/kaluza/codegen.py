@@ -1,16 +1,27 @@
-"""Write the straight-line direct product from the multiplication matrix.
+"""Write the straight-line product modules from their shapes.
 
     python -m kaluza.codegen
 
-regenerates ``_direct.py`` next to this file.  Output slot k of a * b is
-row k of M(b) applied to a: entry i of row k of symbolic_mul_matrix() is
+regenerates ``_direct.py`` and ``_factorized.py`` next to this file.
+
+``_direct.py`` holds the direct product.  Output slot k of a * b is row k
+of M(b) applied to a: entry i of row k of symbolic_mul_matrix() is
 (s, j), where e_i * e_j = s*e_k, and contributes s * a_i * b_j.  The
 generated function returns one expression per slot, with its 32 terms in
 column order (i = 0..31), left-nested, so the matrix alone fixes the
 order of its additions: a negative entry becomes ``acc - a_i * b_j``,
-never a negation.  The module is committed, because unmarshalling its
-bytecode is cheaper than compiling the source at import.  Its operation
-counts are tallied from the terms it emits.
+never a negation.
+
+``_factorized.py`` holds one function per arithmetic stage of the
+factorized chain, at its pipeline size: the pair butterfly (32 -> 32),
+the pair replication (32 -> 512), the diagonal scale (512 x 512) and the
+fan-in (512 -> 32, each slot left-nested in block order).  Every output
+entry is one expression, so the generator alone fixes the order of each
+stage's floating-point operations.
+
+Both modules are committed, because unmarshalling their bytecode is
+cheaper than compiling the source at import.  Their operation counts are
+tallied from the terms the generator emits.
 """
 
 from __future__ import annotations
@@ -19,13 +30,32 @@ from pathlib import Path
 
 from .number import symbolic_mul_matrix
 
-TARGET = Path(__file__).with_name("_direct.py")
-HEADER = "# generated by python -m kaluza.codegen from TABLE; do not edit\n"
+HEADER = "# generated by python -m kaluza.codegen"
 TERMS_PER_LINE = 8
+NAMES_PER_LINE = 16
 
 
-def source() -> str:
-    """The text of the generated module."""
+def _lines(items: list[str], per_line: int) -> str:
+    """items joined by ", ", per_line to an indented line ending in a comma."""
+    return "".join(
+        f"        {', '.join(items[n:n + per_line])},\n" for n in range(0, len(items), per_line)
+    )
+
+
+def _unpack(prefix: str, n: int) -> str:
+    """Bind prefix0..prefix{n-1} from the sequence named prefix.
+
+    The target list is continued with backslashes, not parenthesized: the
+    parser backtracks over a parenthesized one, and compiling the module
+    from source then takes about 1 MB more memory at its peak.
+    """
+    names = [f"{prefix}{i}" for i in range(n)]
+    rows = (", ".join(names[k:k + NAMES_PER_LINE]) for k in range(0, n, NAMES_PER_LINE))
+    return "    " + ", \\\n    ".join(rows) + f" = {prefix}\n"
+
+
+def direct_source() -> str:
+    """The text of ``_direct.py``."""
     mults = adds = 0
     body = []
     for row in symbolic_mul_matrix():
@@ -42,7 +72,7 @@ def source() -> str:
     a_names = ", ".join(f"a{i}" for i in range(32))
     b_names = ", ".join(f"b{i}" for i in range(32))
     return (
-        HEADER
+        HEADER + " from TABLE; do not edit\n"
         + '"""Straight-line direct product: one left-nested sum per output slot."""\n\n'
         + f"MULTIPLICATIONS = {mults}\n"
         + f"ADDITIONS = {adds}\n\n\n"
@@ -55,6 +85,61 @@ def source() -> str:
     )
 
 
+def _stage(name: str, doc: str, sizes: dict[str, int], slots: list[str], per_line: int):
+    """A generated stage function, which unpacks each argument into named
+    locals, and its (multiplications, additions) tally, counted from the
+    operators in its output slots."""
+    text = " ".join(slots)
+    tally = (text.count(" * "), text.count(" + ") + text.count(" - "))
+    source = (
+        f"def {name}({', '.join(sizes)}):\n"
+        f'    """{doc}"""\n'
+        + "".join(_unpack(arg, n) for arg, n in sizes.items())
+        + "    return [\n"
+        + _lines(slots, per_line)
+        + "    ]\n"
+    )
+    return name, tally, source
+
+
+def factorized_source() -> str:
+    """The text of ``_factorized.py``."""
+    stages = [
+        _stage(
+            "butterfly", "(x0, x1, ...) -> (x0 + x1, x0 - x1, ...).", {"x": 32},
+            [f"x{k} {op} x{k + 1}" for k in range(0, 32, 2) for op in "+-"], 4,
+        ),
+        _stage(
+            "replicate", "Block k of the 512 outputs is (x{2k}, x{2k+1}) sixteen times.",
+            {"x": 32}, [f"x{k + r % 2}" for k in range(0, 32, 2) for r in range(32)],
+            NAMES_PER_LINE,
+        ),
+        _stage(
+            "diagonal_scale", "Entry i is x{i} * d{i}.", {"x": 512, "d": 512},
+            [f"x{i} * d{i}" for i in range(512)], TERMS_PER_LINE,
+        ),
+        _stage(
+            "fan_in", "Slot m is x{m} + x{32+m} + ... + x{480+m}, in block order.", {"x": 512},
+            [" + ".join(f"x{32 * k + m}" for k in range(16)) for m in range(32)], 1,
+        ),
+    ]
+    tallies = "".join(f"{name.upper()}_OPS = {tally}\n" for name, tally, _ in stages)
+    return (
+        HEADER + "; do not edit\n"
+        + '"""Straight-line stages of the factorized chain, one function per stage.\n\n'
+        + "Each NAME_OPS constant is the (multiplications, additions) of NAME.\n"
+        + '"""\n\n'
+        + tallies
+        + "".join(f"\n\n{source}" for _, _, source in stages)
+    )
+
+
+DIRECT = Path(__file__).with_name("_direct.py")
+FACTORIZED = Path(__file__).with_name("_factorized.py")
+MODULES = {DIRECT: direct_source, FACTORIZED: factorized_source}
+
+
 if __name__ == "__main__":
-    TARGET.write_text(source())
-    print(f"wrote {TARGET.name}")
+    for target, source in MODULES.items():
+        target.write_text(source())
+        print(f"wrote {target.name}")

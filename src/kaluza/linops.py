@@ -2,15 +2,21 @@
 
 Five kernels cover everything the factorized multiplication needs:
 permutation, pairwise Hadamard butterflies, pair replication, diagonal
-scaling, and fan-in summation.  Every kernel is branch-free, so its cost
-is a fixed function of the input length and counters are bumped by that
-exact amount.  Negations and power-of-two scalings are shift-class
-operations and stay off the books; a subtraction is tallied as an
-addition.  ``materialize`` turns any of them, or any chain of them, into
-a dense matrix for verification.
+scaling, and fan-in summation.  Every kernel is branch-free and takes a
+fixed length, so its cost is a fixed number and counters are bumped by
+that exact amount.  The four arithmetic kernels run the straight-line
+stages of ``_factorized.py``, which ``python -m kaluza.codegen`` writes
+together with their tallies.  Negations and power-of-two scalings are
+shift-class operations and stay off the books; a subtraction is tallied
+as an addition.  ``materialize`` turns any of them, or any chain of
+them, into a dense matrix for verification.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
+
+from . import _factorized
 
 
 class OpCount:
@@ -37,13 +43,14 @@ class Permutation32:
 
     SIZE = 32
 
-    __slots__ = ("map",)
+    __slots__ = ("map", "_gather")
 
     def __init__(self, map_):
         m = tuple(int(v) for v in map_)
         if len(m) != self.SIZE or sorted(m) != list(range(self.SIZE)):
             raise ValueError("permutation must be a bijection on 0..31")
         self.map = m
+        self._gather = itemgetter(*m)
 
     def is_involution(self) -> bool:
         return all(self.map[self.map[i]] == i for i in range(self.SIZE))
@@ -56,24 +63,19 @@ def apply_permutation(p: Permutation32, x) -> list:
     """
     if len(x) != p.SIZE:
         raise ValueError(f"expected a {p.SIZE}-vector, got length {len(x)}")
-    return [x[j] for j in p.map]
+    return list(p._gather(x))
 
 
 def hadamard_pairs(x, counter: OpCount | None = None) -> list:
-    """Butterfly every adjacent pair: (u, v) -> (u + v, u - v).
+    """Butterfly every adjacent pair of a 32-vector: (u, v) -> (u + v, u - v).
 
-    Two additions per pair; 32 in total on a 32-vector.
+    Two additions per pair; 32 in total.
     """
-    if len(x) % 2:
-        raise ValueError("hadamard_pairs needs an even-length vector")
-    out = []
-    for k in range(0, len(x), 2):
-        u, v = x[k], x[k + 1]
-        out.append(u + v)
-        out.append(u - v)
+    if len(x) != 32:
+        raise ValueError(f"expected a 32-vector, got length {len(x)}")
     if counter is not None:
-        counter.count(adds=len(x))
-    return out
+        counter.count(*_factorized.BUTTERFLY_OPS)
+    return _factorized.butterfly(x)
 
 
 def replicate_pairs(x) -> list:
@@ -84,19 +86,17 @@ def replicate_pairs(x) -> list:
     """
     if len(x) != 32:
         raise ValueError(f"expected a 32-vector, got length {len(x)}")
-    out = []
-    for k in range(0, 32, 2):
-        out.extend([x[k], x[k + 1]] * 16)
-    return out
+    return _factorized.replicate(x)
 
 
 def block_diagonal_scale(x, diag, counter: OpCount | None = None) -> list:
-    """Componentwise product; one real multiplication per entry."""
-    if len(x) != len(diag):
-        raise ValueError(f"dimension mismatch: vector {len(x)}, diagonal {len(diag)}")
+    """Componentwise product of two 512-vectors; one real multiplication
+    per entry, 512 in total."""
+    if len(x) != 512 or len(diag) != 512:
+        raise ValueError(f"expected 512 entries: vector {len(x)}, diagonal {len(diag)}")
     if counter is not None:
-        counter.count(mults=len(x))
-    return [xv * dv for xv, dv in zip(x, diag)]
+        counter.count(*_factorized.DIAGONAL_SCALE_OPS)
+    return _factorized.diagonal_scale(x, diag)
 
 
 def fan_in_sum(x, counter: OpCount | None = None) -> list:
@@ -108,15 +108,9 @@ def fan_in_sum(x, counter: OpCount | None = None) -> list:
     """
     if len(x) != 512:
         raise ValueError(f"expected a 512-vector, got length {len(x)}")
-    out = [
-        a0 + a1 + a2 + a3 + a4 + a5 + a6 + a7
-        + a8 + a9 + a10 + a11 + a12 + a13 + a14 + a15
-        for a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15
-        in zip(*[x[b:b + 32] for b in range(0, 512, 32)])
-    ]
     if counter is not None:
-        counter.count(adds=480)
-    return out
+        counter.count(*_factorized.FAN_IN_OPS)
+    return _factorized.fan_in(x)
 
 
 def materialize(fn, n_in: int) -> list[list[float]]:

@@ -28,7 +28,13 @@ from kaluza.fastmul import (
     derive_diagonal_spec,
     mul_fast,
 )
-from kaluza.linops import OpCount
+from kaluza.linops import (
+    OpCount,
+    apply_permutation,
+    block_diagonal_scale,
+    hadamard_pairs,
+    replicate_pairs,
+)
 from kaluza.number import KaluzaNumber, build_mul_matrix, mul_dense, mul_naive
 from kaluza.prng import Stream
 
@@ -294,6 +300,46 @@ def test_both_engines_equal_the_exact_integer_product_at_the_bound():
         a, b = KaluzaNumber(xs), KaluzaNumber(ys)
         assert list(mul_naive(a, b).coeffs) == exact
         assert list(mul_fast(a, build_pipeline(b)).coeffs) == exact
+
+
+def _half_integer_edge_operands(m):
+    """Integer operands with max |coefficient| = 2**23 where slot m of the
+    fan-in adds sixteen equal products (2**24 - 1)**2 / 2.
+
+    Every lane value reaching slot m is 2**24 - 1 and every diagonal entry
+    there is (2**24 - 1) / 2, a half-integer, so the slot's partial sums
+    climb to 32 * max|a| * max|b| in steps of 1/2: that is 64 * max|a| *
+    max|b| = 2**52 half-units, at the edge of the bound.
+    """
+    top, odd = 2**23, 2**23 - 1
+    pairs = coefficient_pairs()
+    a, b = [0] * 32, [0] * 32
+    for k, (u, v) in enumerate(pairs):
+        a[u], a[v] = top, odd if m % 2 == 0 else -odd
+        s, j = derive_diagonal_spec().blocks[k][m]
+        bu, bv = pairs[j // 2]
+        b[bu], b[bv] = s * top, s * (odd if j % 2 == 0 else -odd)
+    assert 0 not in b  # slot m refers to each pair once
+    return a, b
+
+
+def test_fast_is_bit_exact_where_half_integer_sums_reach_the_bound():
+    table = [[oracle_basis_mul(i, j) for j in range(32)] for i in range(32)]
+    term = (2**24 - 1) ** 2 / 2
+    for m in range(32):
+        xs, ys = _half_integer_edge_operands(m)
+        a, b = KaluzaNumber(xs), KaluzaNumber(ys)
+        p = build_pipeline(b)
+        lanes = hadamard_pairs(apply_permutation(PAIRING_PERMUTATION, a.coeffs))
+        assert block_diagonal_scale(replicate_pairs(lanes), p.diagonal)[m::32] == [term] * 16
+        exact = [0] * 32
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                s, k = table[i][j]
+                exact[k] += s * x * y
+        got, want = mul_fast(a, p).coeffs, mul_naive(a, b).coeffs
+        assert struct.pack("<32d", *got) == struct.pack("<32d", *want), m
+        assert list(got) == exact, m
 
 
 @settings(max_examples=150)

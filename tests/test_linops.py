@@ -76,15 +76,16 @@ def test_apply_permutation_rejects_a_wrong_length():
 
 def test_hadamard_pair_examples():
     c = OpCount()
-    assert hadamard_pairs([1.0, 1.0], c) == [2.0, 0.0]
-    assert c.as_tuple() == (0, 2)
-    # second pair (0, 5) butterflies to (5, -5): the minus is forced by
+    assert hadamard_pairs([1.0] * 32, c) == [2.0, 0.0] * 16
+    assert c.as_tuple() == (0, 32)
+    # pairs (0, 5) butterfly to (5, -5): the minus is forced by
     # H2 = [[1, 1], [1, -1]], the same convention materialize() exposes
-    assert hadamard_pairs([3.0, 0.0, 0.0, 5.0]) == [3.0, 3.0, 5.0, -5.0]
-    twice = hadamard_pairs(hadamard_pairs([3.0, 5.0, 7.0, 11.0]))
-    assert twice == [6.0, 10.0, 14.0, 22.0]  # H2 squared is 2I
-    with pytest.raises(ValueError):
-        hadamard_pairs([1.0, 2.0, 3.0])
+    assert hadamard_pairs([3.0, 0.0, 0.0, 5.0] * 8) == [3.0, 3.0, 5.0, -5.0] * 8
+    twice = hadamard_pairs(hadamard_pairs([3.0, 5.0, 7.0, 11.0] * 8))
+    assert twice == [6.0, 10.0, 14.0, 22.0] * 8  # H2 squared is 2I
+    for n in (3, 31, 34):  # the butterfly takes exactly 32 entries
+        with pytest.raises(ValueError):
+            hadamard_pairs([1.0] * n)
 
 
 def test_replicate_layout():
@@ -110,8 +111,9 @@ def test_diagonal_scale_examples():
     alt = [1.0, -1.0] * 256
     got = block_diagonal_scale(x, alt)
     assert got[0:4] == [0.0, -1.0, 2.0, -3.0]
-    with pytest.raises(ValueError):
-        block_diagonal_scale(x, [1.0] * 511)
+    for n_x, n_d in ((512, 511), (511, 512), (511, 511)):  # 512 on both sides
+        with pytest.raises(ValueError):
+            block_diagonal_scale([1.0] * n_x, [1.0] * n_d)
 
 
 def test_fan_in_examples():
@@ -174,6 +176,11 @@ def _fan_in_vectors():
             else rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-320, 308)
             for _ in range(512)
         ]
+    for _ in range(50):
+        # terms of one magnitude with full significands, so partial sums
+        # round and a change in the order of the additions shows in the
+        # last bits (uniform draws sit on a 2**-52 grid and mostly add exactly)
+        yield [rng.gauss(0.0, 1.0) for _ in range(512)]
 
 
 def test_fan_in_matches_the_block_major_loop_bit_for_bit():
@@ -202,7 +209,13 @@ def test_replicate_then_fan_in_totals_the_pair_members():
 
 
 def test_materialized_hadamard_single_pair():
-    assert materialize(hadamard_pairs, 2) == [[1.0, 1.0], [1.0, -1.0]]
+    # every pair gets its own H2 block on the diagonal of the 32x32 matrix
+    h2 = [[1.0, 1.0], [1.0, -1.0]]
+    want = [[0.0] * 32 for _ in range(32)]
+    for k in range(0, 32, 2):
+        for r in range(2):
+            want[k + r][k : k + 2] = h2[r]
+    assert materialize(hadamard_pairs, 32) == want
 
 
 def test_materialized_permutation_is_a_symmetric_0_1_matrix_for_involutions():
