@@ -4,35 +4,43 @@
 
 regenerates ``_direct.py`` and ``_factorized.py`` next to this file.
 
-``_direct.py`` holds the direct product.  Output slot k of a * b is row k
-of M(b) applied to a: entry i of row k of symbolic_mul_matrix() is
-(s, j), where e_i * e_j = s*e_k, and contributes s * a_i * b_j.  The
-generated function returns one expression per slot, with its 32 terms in
-column order (i = 0..31), left-nested, so the matrix alone fixes the
+``_direct.py`` holds the direct product and M(b).  Output slot k of a * b
+is row k of M(b) applied to a: entry i of row k of symbolic_mul_matrix()
+is (s, j), where e_i * e_j = s*e_k, and contributes s * a_i * b_j.  The
+generated mul_direct returns one expression per slot, with its 32 terms
+in column order (i = 0..31), left-nested, so the matrix alone fixes the
 order of its additions: a negative entry becomes ``acc - a_i * b_j``,
-never a negation.
+never a negation.  mul_matrix returns the same matrix over values: entry
+(s, j) is b_j, or n_j = -b_j, bound once per call.
 
-``_factorized.py`` holds one function per arithmetic stage of the
-factorized chain, at its pipeline size: the pair butterfly (32 -> 32),
-the pair replication (32 -> 512), the diagonal scale (512 x 512) and the
-fan-in (512 -> 32, each slot left-nested in block order).  Every output
-entry is one expression, so the generator alone fixes the order of each
-stage's floating-point operations.
+``_factorized.py`` holds the preparation of a right operand and one
+function per arithmetic stage of the factorized chain, at its pipeline
+size: the c-values (32 -> 32, the sum and difference of each coefficient
+pair, halved), the diagonal (32 -> 512, a signed copy of one c-value per
+entry, as derive_diagonal_spec() resolves it), the pair butterfly
+(32 -> 32), the pair replication (32 -> 512), the diagonal scale
+(512 x 512) and the fan-in (512 -> 32, each slot left-nested in block
+order).  Every output entry is one expression, so the generator alone
+fixes the order of each function's floating-point operations.
 
 Both modules are committed, because unmarshalling their bytecode is
 cheaper than compiling the source at import.  Their operation counts are
-tallied from the terms the generator emits.
+tallied from the terms the generator emits; the c-values' halving is a
+power-of-two scale and is not counted.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
+from .fastmul import coefficient_pairs, derive_diagonal_spec
 from .number import symbolic_mul_matrix
 
 HEADER = "# generated by python -m kaluza.codegen"
 TERMS_PER_LINE = 8
 NAMES_PER_LINE = 16
+# The c-values' halving: a power-of-two scale, exact and off the books.
+HALF = " * 0.5"
 
 
 def _lines(items: list[str], per_line: int) -> str:
@@ -54,11 +62,23 @@ def _unpack(prefix: str, n: int) -> str:
     return "    " + ", \\\n    ".join(rows) + f" = {prefix}\n"
 
 
+def _negations(prefix: str, refs) -> str:
+    """Bind n{j} = -prefix{j} once for each j that a (sign, j) in refs negates."""
+    negated = sorted({j for s, j in refs if s < 0})
+    return "".join(f"    n{j} = -{prefix}{j}\n" for j in negated)
+
+
+def _signed(prefix: str, refs) -> list[str]:
+    """The local that holds each signed reference: prefix{j} or n{j}."""
+    return [f"{prefix}{j}" if s > 0 else f"n{j}" for s, j in refs]
+
+
 def direct_source() -> str:
     """The text of ``_direct.py``."""
+    matrix = symbolic_mul_matrix()
     mults = adds = 0
     body = []
-    for row in symbolic_mul_matrix():
+    for row in matrix:
         terms = [f"{'-' if s < 0 else '+'} a{i} * b{j}" for i, (s, j) in enumerate(row)]
         mults += len(terms)
         adds += len(terms) - 1
@@ -73,7 +93,11 @@ def direct_source() -> str:
     b_names = ", ".join(f"b{i}" for i in range(32))
     return (
         HEADER + " from TABLE; do not edit\n"
-        + '"""Straight-line direct product: one left-nested sum per output slot."""\n\n'
+        + '"""Straight-line direct product and M(b).\n\n'
+        + "mul_direct is one left-nested sum per output slot; mul_matrix returns\n"
+        + "the 32 rows of M(b), each entry a signed copy of one b-coefficient.\n"
+        + "MULTIPLICATIONS and ADDITIONS are the tally of mul_direct.\n"
+        + '"""\n\n'
         + f"MULTIPLICATIONS = {mults}\n"
         + f"ADDITIONS = {adds}\n\n\n"
         + "def mul_direct(av, bv):\n"
@@ -81,30 +105,56 @@ def direct_source() -> str:
         + f"    {b_names} = bv\n"
         + "    return (\n"
         + "".join(body)
+        + "    )\n\n\n"
+        + "def mul_matrix(bv):\n"
+        + f"    {b_names} = bv\n"
+        + _negations("b", (ref for row in matrix for ref in row))
+        + "    return (\n"
+        + "".join(f"        ({', '.join(_signed('b', row))}),\n" for row in matrix)
         + "    )\n"
     )
 
 
-def _stage(name: str, doc: str, sizes: dict[str, int], slots: list[str], per_line: int):
+def _stage(
+    name: str, doc: str, sizes: dict[str, int], slots: list[str], per_line: int,
+    brackets: str = "[]", negations: str = "",
+):
     """A generated stage function, which unpacks each argument into named
-    locals, and its (multiplications, additions) tally, counted from the
-    operators in its output slots."""
+    locals, binds the negations, and returns its slots as a list or tuple;
+    and its (multiplications, additions) tally, counted from the operators
+    in its output slots, where the HALF scale is free."""
     text = " ".join(slots)
-    tally = (text.count(" * "), text.count(" + ") + text.count(" - "))
+    tally = (
+        text.count(" * ") - text.count(HALF),
+        text.count(" + ") + text.count(" - "),
+    )
     source = (
         f"def {name}({', '.join(sizes)}):\n"
         f'    """{doc}"""\n'
         + "".join(_unpack(arg, n) for arg, n in sizes.items())
-        + "    return [\n"
+        + negations
+        + f"    return {brackets[0]}\n"
         + _lines(slots, per_line)
-        + "    ]\n"
+        + f"    {brackets[1]}\n"
     )
     return name, tally, source
 
 
 def factorized_source() -> str:
     """The text of ``_factorized.py``."""
+    refs = [ref for block in derive_diagonal_spec().blocks for ref in block]
     stages = [
+        _stage(
+            "c_values", "Pair t = (u, v) gives (b{u} + b{v}) * 0.5, (b{u} - b{v}) * 0.5.",
+            {"b": 32},
+            [f"(b{u} {op} b{v}){HALF}" for u, v in coefficient_pairs() for op in "+-"], 4,
+            brackets="()",
+        ),
+        _stage(
+            "diagonal", "Entry 32k + m is +c{j} or -c{j} for (s, j) = blocks[k][m] of the spec.",
+            {"c": 32}, _signed("c", refs), NAMES_PER_LINE,
+            brackets="()", negations=_negations("c", refs),
+        ),
         _stage(
             "butterfly", "(x0, x1, ...) -> (x0 + x1, x0 - x1, ...).", {"x": 32},
             [f"x{k} {op} x{k + 1}" for k in range(0, 32, 2) for op in "+-"], 4,
@@ -126,8 +176,10 @@ def factorized_source() -> str:
     tallies = "".join(f"{name.upper()}_OPS = {tally}\n" for name, tally, _ in stages)
     return (
         HEADER + "; do not edit\n"
-        + '"""Straight-line stages of the factorized chain, one function per stage.\n\n'
-        + "Each NAME_OPS constant is the (multiplications, additions) of NAME.\n"
+        + '"""Straight-line operand preparation and stages of the factorized chain.\n\n'
+        + "c_values and diagonal prepare a right operand; the other functions are\n"
+        + "the chain's arithmetic stages, one function per stage.  Each NAME_OPS\n"
+        + "constant is the (multiplications, additions) of NAME.\n"
         + '"""\n\n'
         + tallies
         + "".join(f"\n\n{source}" for _, _, source in stages)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from functools import cache
 
+from . import _factorized
 from .cayley import CayleyTable
 from .fixtures import diff_printed, printed_diagonal_blocks, signed_token
 from .linops import (
@@ -41,13 +42,7 @@ from .linops import (
     materialize,
     replicate_pairs,
 )
-from .number import (
-    KaluzaNumber,
-    mul_naive,
-    signed_gather,
-    symbolic_mul_matrix,
-    with_negations,
-)
+from .number import KaluzaNumber, mul_naive, symbolic_mul_matrix
 
 # Reorder that puts each paired coefficient next to its partner: slots
 # (2t, 2t+1) pick up the pair (map[2t], map[2t+1]).  It is an involution,
@@ -70,13 +65,14 @@ def compute_c(b: KaluzaNumber, counter: OpCount | None = None) -> tuple[float, .
     32 additions, 0 multiplications.  c[2t] = (b_u + b_v)/2 and
     c[2t+1] = (b_u - b_v)/2 for the t-th pair (u, v) of
     coefficient_pairs(); these 32 values are the only distinct
-    magnitudes on the 512-entry diagonal.  Implemented as the same
-    permute-then-butterfly used by the pipeline itself; the halving is a
-    power-of-two scale and stays off the books.
+    magnitudes on the 512-entry diagonal.  Runs as the straight-line
+    _factorized.c_values, which python -m kaluza.codegen writes from
+    coefficient_pairs(): each value is the sum or difference, then the
+    halving, a power-of-two scale that stays off the books.
     """
-    paired = apply_permutation(PAIRING_PERMUTATION, b.coeffs)
-    mixed = hadamard_pairs(paired, counter)
-    return tuple([v * 0.5 for v in mixed])
+    if counter is not None:
+        counter.count(*_factorized.C_VALUES_OPS)
+    return _factorized.c_values(b.coeffs)
 
 
 class DiagonalSpec:
@@ -84,10 +80,11 @@ class DiagonalSpec:
 
     Block k holds the diagonal slice that scales replicated pair block k;
     slot m of block k is the eigenvalue s_m of the (row pair m//2, column
-    pair k) bisymmetric block.
+    pair k) bisymmetric block.  Only the blocks that the generated
+    _factorized.diagonal resolves can be materialized.
     """
 
-    __slots__ = ("blocks", "_gather")
+    __slots__ = ("blocks", "_generated")
 
     def __init__(self, blocks):
         bl = tuple(tuple((int(s), int(j)) for (s, j) in block) for block in blocks)
@@ -98,16 +95,26 @@ class DiagonalSpec:
                 if s not in (1, -1) or not 0 <= j <= 31:
                     raise ValueError(f"bad signed c-reference ({s}, {j})")
         self.blocks = bl
-        self._gather = signed_gather(ref for block in bl for ref in block)
+        # Run on c_j = j + 1, the generated diagonal reads back as s * (j + 1)
+        # for each reference it was generated from.  Compared, not enforced:
+        # the generator builds a spec while the module may be stale.
+        compiled = _factorized.diagonal(range(1, 33))
+        self._generated = compiled == tuple(s * (j + 1) for block in bl for s, j in block)
 
     def materialize(self, c: tuple[float, ...]) -> tuple[float, ...]:
         """Concrete 512-entry diagonal from the 32-tuple c.
 
-        Sign application only, nothing counted.
+        Sign application only, nothing counted.  Raises ValueError if
+        _factorized.diagonal was generated from other blocks.
         """
         if len(c) != 32:
             raise ValueError(f"expected 32 c-values, got {len(c)}")
-        return self._gather(with_negations(c))
+        if not self._generated:
+            raise ValueError(
+                "_factorized.diagonal was generated from other blocks; "
+                "regenerate it with python -m kaluza.codegen"
+            )
+        return _factorized.diagonal(c)
 
 
 @cache

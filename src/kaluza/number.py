@@ -22,7 +22,6 @@ halving also loses subnormals: 2**-1074*e3 times e0 gives 0.0, not
 from __future__ import annotations
 
 from functools import cache
-from operator import itemgetter, neg
 
 from . import _direct, fixtures
 from .cayley import TABLE, CayleyTable
@@ -125,33 +124,15 @@ def symbolic_mul_matrix(table: CayleyTable | None = None):
     return tuple(tuple(row) for row in grid)
 
 
-def with_negations(values: tuple) -> tuple:
-    """The 32 values followed by their negations (free sign changes)."""
-    return values + tuple(map(neg, values))
-
-
-def signed_gather(refs) -> itemgetter:
-    """Precomputed gather that copies +v_j or -v_j for each (sign, j) in refs.
-
-    Apply it to with_negations(v): slot j holds +v_j, slot 32 + j -v_j.
-    """
-    return itemgetter(*(j if s > 0 else 32 + j for (s, j) in refs))
-
-
-# symbolic_mul_matrix() and symbolic_mul_matrix(None) are separate cache keys;
-# passing None, as the table=None callers do, derives the default table once.
-_ROW_GATHERS = tuple(signed_gather(row) for row in symbolic_mul_matrix(None))
-
-
 def build_mul_matrix(b: KaluzaNumber) -> tuple[tuple[float, ...], ...]:
     """The 32 rows of M(b), with mul(a, b) = M(b) applied to a.
 
-    Every entry is a signed copy of one b-coefficient, never a sum: each
-    row is one precomputed gather over b's coefficients and their
-    negations.  KaluzaNumber has already validated those coefficients.
+    Every entry is a signed copy of one b-coefficient, never a sum: the
+    straight-line _direct.mul_matrix, generated from symbolic_mul_matrix(),
+    negates each coefficient it needs once and lays out the rows.
+    KaluzaNumber has already validated those coefficients.
     """
-    signed = with_negations(b.coeffs)
-    return tuple([g(signed) for g in _ROW_GATHERS])
+    return _direct.mul_matrix(b.coeffs)
 
 
 def mul_dense(a: KaluzaNumber, rows, counter: OpCount | None = None) -> KaluzaNumber:

@@ -1,16 +1,44 @@
 """The generated straight-line modules and their generator."""
 
 import ast
+import math
 from collections import Counter
 
-from kaluza import _direct, _factorized, codegen, linops
+from kaluza import _direct, _factorized, codegen, fastmul, linops
+from kaluza.number import KaluzaNumber
+
+
+def _free_scale(node) -> bool:
+    """A float constant +/-2**k, as _free_scale in test_op_audit.py: a
+    multiplication by it is exact and not counted."""
+    return (
+        isinstance(node, ast.Constant) and type(node.value) is float
+        and abs(math.frexp(node.value)[0]) == 0.5
+    )
+
+
+def _halvings(node) -> list[ast.BinOp]:
+    return [
+        n for n in ast.walk(node)
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult)
+        and (_free_scale(n.left) or _free_scale(n.right))
+    ]
 
 
 def _tally(node):
-    """(multiplications, additions) of the binary operators under node."""
-    ops = Counter(type(n.op) for n in ast.walk(node) if isinstance(n, ast.BinOp))
+    """(multiplications, additions) of the binary operators under node,
+    a multiplication by a power-of-two constant free."""
+    free = _halvings(node)
+    ops = Counter(
+        type(n.op) for n in ast.walk(node) if isinstance(n, ast.BinOp) and n not in free
+    )
     assert set(ops) <= {ast.Mult, ast.Add, ast.Sub}
     return (ops[ast.Mult], ops[ast.Add] + ops[ast.Sub])
+
+
+def _functions(path):
+    tree = ast.parse(path.read_bytes())
+    return tree, {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
 def test_committed_module_is_what_the_generator_writes():
@@ -21,16 +49,32 @@ def test_committed_module_is_what_the_generator_writes():
 
 
 def test_counts_are_the_operators_of_the_committed_code():
-    tally = _tally(ast.parse(codegen.DIRECT.read_bytes()))
-    assert tally == (_direct.MULTIPLICATIONS, _direct.ADDITIONS) == (1024, 992)
+    tree, functions = _functions(codegen.DIRECT)
+    assert sorted(functions) == ["mul_direct", "mul_matrix"]
+    assert _tally(tree) == (_direct.MULTIPLICATIONS, _direct.ADDITIONS) == (1024, 992)
+
+
+def test_preparation_only_copies_and_halves():
+    _, direct = _functions(codegen.DIRECT)
+    _, factorized = _functions(codegen.FACTORIZED)
+    for node in (direct["mul_matrix"], factorized["diagonal"]):
+        assert not any(isinstance(n, (ast.BinOp, ast.Call)) for n in ast.walk(node)), node.name
+    # each c-value is a sum or difference, then one free halving
+    c_values = factorized["c_values"]
+    assert len(_halvings(c_values)) == 32
+    assert all(n.right.value == 0.5 for n in _halvings(c_values))
+    counter = linops.OpCount()
+    fastmul.compute_c(KaluzaNumber([1.0] * 32), counter)
+    assert _tally(c_values) == _factorized.C_VALUES_OPS == counter.as_tuple() == (0, 32)
 
 
 def test_each_stage_tally_is_its_operators_and_its_kernel_bump():
-    tree = ast.parse(codegen.FACTORIZED.read_bytes())
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    tree, functions = _functions(codegen.FACTORIZED)
     # no call at all, so no sum, math.fsum, math.sumprod or map(operator.mul, ...)
     assert not any(isinstance(node, ast.Call) for node in ast.walk(tree))
     kernels = {
+        "c_values": lambda c: fastmul.compute_c(KaluzaNumber([1.0] * 32), c),
+        "diagonal": lambda c: fastmul.derive_diagonal_spec().materialize((1.0,) * 32),
         "butterfly": lambda c: linops.hadamard_pairs([1.0] * 32, c),
         "replicate": lambda c: linops.replicate_pairs([1.0] * 32),
         "diagonal_scale": lambda c: linops.block_diagonal_scale([1.0] * 512, [1.0] * 512, c),
@@ -43,6 +87,7 @@ def test_each_stage_tally_is_its_operators_and_its_kernel_bump():
         constant = getattr(_factorized, f"{name.upper()}_OPS")
         assert _tally(functions[name]) == constant == counter.as_tuple(), name
     assert [
+        _factorized.C_VALUES_OPS, _factorized.DIAGONAL_OPS,
         _factorized.BUTTERFLY_OPS, _factorized.REPLICATE_OPS,
         _factorized.DIAGONAL_SCALE_OPS, _factorized.FAN_IN_OPS,
-    ] == [(0, 32), (0, 0), (512, 0), (0, 480)]
+    ] == [(0, 32), (0, 0), (0, 32), (0, 0), (512, 0), (0, 480)]

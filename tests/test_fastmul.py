@@ -35,7 +35,13 @@ from kaluza.linops import (
     hadamard_pairs,
     replicate_pairs,
 )
-from kaluza.number import KaluzaNumber, build_mul_matrix, mul_dense, mul_naive
+from kaluza.number import (
+    KaluzaNumber,
+    build_mul_matrix,
+    mul_dense,
+    mul_naive,
+    symbolic_mul_matrix,
+)
 from kaluza.prng import Stream
 
 E = [KaluzaNumber.basis(i) for i in range(32)]
@@ -136,6 +142,14 @@ def test_diagonal_spec_shape_and_sign_validation():
     bad[0][0] = (2, 0)
     with pytest.raises(ValueError):
         DiagonalSpec(bad)
+
+
+def test_a_spec_the_generator_did_not_compile_refuses_to_materialize():
+    blocks = [list(b) for b in derive_diagonal_spec().blocks]
+    blocks[1][18], blocks[1][19] = (-1, 22), (-1, 23)  # the typeset rendering
+    spec = DiagonalSpec(blocks)  # constructing one is allowed
+    with pytest.raises(ValueError, match=r"regenerate it with python -m kaluza\.codegen$"):
+        spec.materialize((1.0,) * 32)
 
 
 def test_first_block_starts_with_plus_c0_plus_c1():
@@ -302,16 +316,17 @@ def test_both_engines_equal_the_exact_integer_product_at_the_bound():
         assert list(mul_fast(a, build_pipeline(b)).coeffs) == exact
 
 
-def _half_integer_edge_operands(m):
-    """Integer operands with max |coefficient| = 2**23 where slot m of the
-    fan-in adds sixteen equal products (2**24 - 1)**2 / 2.
+def _half_integer_edge_operands(m, e=23):
+    """Integer operands with max |coefficient| = 2**e where slot m of the
+    fan-in adds sixteen equal products (2**(e+1) - 1)**2 / 2.
 
-    Every lane value reaching slot m is 2**24 - 1 and every diagonal entry
-    there is (2**24 - 1) / 2, a half-integer, so the slot's partial sums
-    climb to 32 * max|a| * max|b| in steps of 1/2: that is 64 * max|a| *
-    max|b| = 2**52 half-units, at the edge of the bound.
+    Every lane value reaching slot m is 2**(e+1) - 1 and every diagonal
+    entry there is (2**(e+1) - 1) / 2, a half-integer, so the slot's
+    partial sums climb to 32 * max|a| * max|b| in steps of 1/2: that is
+    64 * max|a| * max|b| = 2**(2e+6) half-units, at the edge of the bound
+    for e = 23 and past it for e = 24.
     """
-    top, odd = 2**23, 2**23 - 1
+    top, odd = 2**e, 2**e - 1
     pairs = coefficient_pairs()
     a, b = [0] * 32, [0] * 32
     for k, (u, v) in enumerate(pairs):
@@ -323,8 +338,17 @@ def _half_integer_edge_operands(m):
     return a, b
 
 
+def _exact_product(xs, ys):
+    """a * b in Python integers, through the bitmask oracle's table."""
+    exact = [0] * 32
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            s, k = oracle_basis_mul(i, j)
+            exact[k] += s * x * y
+    return exact
+
+
 def test_fast_is_bit_exact_where_half_integer_sums_reach_the_bound():
-    table = [[oracle_basis_mul(i, j) for j in range(32)] for i in range(32)]
     term = (2**24 - 1) ** 2 / 2
     for m in range(32):
         xs, ys = _half_integer_edge_operands(m)
@@ -332,14 +356,62 @@ def test_fast_is_bit_exact_where_half_integer_sums_reach_the_bound():
         p = build_pipeline(b)
         lanes = hadamard_pairs(apply_permutation(PAIRING_PERMUTATION, a.coeffs))
         assert block_diagonal_scale(replicate_pairs(lanes), p.diagonal)[m::32] == [term] * 16
-        exact = [0] * 32
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                s, k = table[i][j]
-                exact[k] += s * x * y
         got, want = mul_fast(a, p).coeffs, mul_naive(a, b).coeffs
         assert struct.pack("<32d", *got) == struct.pack("<32d", *want), m
-        assert list(got) == exact, m
+        assert list(got) == _exact_product(xs, ys), m
+
+
+def test_fast_leaves_the_exact_product_one_binade_past_the_bound():
+    # The same construction at 2**24: the naive engine is still exact
+    # (32 * max|a| * max|b| = 2**53), the fast engine's half-integer sums
+    # now round in every one of the 32 fan-in slots, so 2**23 is tight.
+    for m in range(32):
+        xs, ys = _half_integer_edge_operands(m, e=24)
+        a, b = KaluzaNumber(xs), KaluzaNumber(ys)
+        exact = _exact_product(xs, ys)
+        assert list(mul_naive(a, b).coeffs) == exact, m
+        assert list(mul_fast(a, build_pipeline(b)).coeffs) != exact, m
+
+
+def _nan(sign: int, payload: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", sign << 63 | 0x7FF8 << 48 | payload))[0]
+
+
+TINY, HUGE = 2.0**-1022, sys.float_info.max
+special_value = st.one_of(
+    st.sampled_from((0.0, -0.0, math.inf, -math.inf)),
+    st.floats(min_value=-TINY, max_value=TINY),  # zeros and subnormals
+    st.floats(min_value=2.0**1022, max_value=HUGE),
+    st.floats(min_value=-HUGE, max_value=-(2.0**1022)),
+    st.builds(_nan, st.integers(0, 1), st.integers(0, 2**51 - 1)),
+)
+special_vec = st.lists(special_value, min_size=32, max_size=32)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200)
+@given(special_vec, special_vec)
+@example([math.nan, -math.nan] * 16, [-math.nan, math.nan] * 16)
+def test_preparation_copies_signs_and_halves_bit_for_bit_on_special_values(bs, cs):
+    b = KaluzaNumber(bs)
+    for row, refs in zip(build_mul_matrix(b), symbolic_mul_matrix()):
+        assert [_bits(v) for v in row] == [_bits(bs[j] if s > 0 else -bs[j]) for s, j in refs]
+    spec = derive_diagonal_spec()
+    want = [_bits(cs[j] if s > 0 else -cs[j]) for block in spec.blocks for s, j in block]
+    assert [_bits(v) for v in spec.materialize(tuple(cs))] == want
+    c = compute_c(b)
+    for t, (u, v) in enumerate(coefficient_pairs()):
+        halved = ((bs[u] + bs[v]) * 0.5, (bs[u] - bs[v]) * 0.5)
+        for got, exact in zip(c[2 * t:2 * t + 2], halved):
+            if math.isnan(bs[u]) and math.isnan(bs[v]):
+                # which of two NaNs survives depends on whether the
+                # instruction is specialized yet (see _special_operands)
+                assert math.isnan(got), (t, bs[u], bs[v])
+            else:
+                assert _bits(got) == _bits(exact), (t, bs[u], bs[v])
 
 
 @settings(max_examples=150)
