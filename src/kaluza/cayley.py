@@ -17,8 +17,6 @@ records it, and the verbatim transcription is kept so nothing is patched
 silently.
 """
 
-from __future__ import annotations
-
 QUADRANTS = ("NW", "NE", "SW", "SE")
 
 # Row i, column j holds the token for e_i * e_j (index 0 is the real unit).
@@ -82,6 +80,35 @@ def format_token(p: tuple[int, int]) -> str:
     return f"-{body}" if sign < 0 else body
 
 
+class _IntPairs(dict):
+    """Memo from a pair to the same pair as two ints, checked on first sight."""
+
+    __slots__ = ()
+
+    def __missing__(self, pair):
+        s, k = pair
+        si, ki = int(s), int(k)
+        if si != s or ki != k:
+            raise ValueError(f"entry {pair!r} is not a pair of integers")
+        self[pair] = out = (si, ki)
+        return out
+
+
+def int_pairs(grid) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The grid's lines as tuples of (int, int) pairs.
+
+    Integral floats and bools become ints; a pair holding a fractional
+    number or a string raises ValueError.  Each distinct pair is checked
+    once, so a 32x32 table of 64 distinct pairs converts 64, not 1024.
+    """
+    lines = [tuple(line) for line in grid]  # read once, so a retry sees the same pairs
+    get = _IntPairs().__getitem__
+    try:
+        return tuple(tuple(map(get, line)) for line in lines)
+    except TypeError:  # unhashable pairs, such as lists loaded from JSON
+        return tuple(tuple(get(tuple(p)) for p in line) for line in lines)
+
+
 class CayleyTable:
     """Immutable 32x32 grid of (sign, index) pairs; rows are left factors.
 
@@ -94,15 +121,17 @@ class CayleyTable:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        rows = tuple(tuple((int(s), int(k)) for (s, k) in row) for row in entries)
+        rows = int_pairs(entries)
         if len(rows) != 32 or any(len(r) != 32 for r in rows):
             raise ValueError("expected a 32x32 grid of (sign, index) entries")
         self.entries = rows
 
     @classmethod
     def from_text(cls, text: str) -> "CayleyTable":
-        rows = [[parse_token(t) for t in line.split()] for line in text.strip().splitlines()]
-        return cls(rows)
+        # 64 distinct tokens fill the 1024 cells: parse each once, in
+        # row-major order of first occurrence, so the first bad one raises.
+        parse = {t: parse_token(t) for t in dict.fromkeys(text.split())}.__getitem__
+        return cls([list(map(parse, line.split())) for line in text.strip().splitlines()])
 
     def __eq__(self, other):
         return isinstance(other, CayleyTable) and self.entries == other.entries

@@ -11,8 +11,6 @@ comment, parsed by KaluzaNumber.from_text.  Non-finite values are
 rejected here at the boundary; the library itself lets them propagate.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import os

@@ -29,8 +29,6 @@ tallied from the terms the generator emits; the c-values' halving is a
 power-of-two scale and is not counted.
 """
 
-from __future__ import annotations
-
 from pathlib import Path
 
 from .fastmul import coefficient_pairs, derive_diagonal_spec

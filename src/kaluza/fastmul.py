@@ -25,12 +25,10 @@ itself.  A prepared right operand is plain data: compute_c returns the
 32 c-values as a tuple and FactorizedPipeline holds only the diagonal.
 """
 
-from __future__ import annotations
-
 from functools import cache
 
 from . import _factorized
-from .cayley import CayleyTable
+from .cayley import CayleyTable, int_pairs
 from .fixtures import diff_printed, printed_diagonal_blocks, signed_token
 from .linops import (
     OpCount,
@@ -87,7 +85,7 @@ class DiagonalSpec:
     __slots__ = ("blocks", "_generated")
 
     def __init__(self, blocks):
-        bl = tuple(tuple((int(s), int(j)) for (s, j) in block) for block in blocks)
+        bl = int_pairs(blocks)
         if len(bl) != 16 or any(len(b) != 32 for b in bl):
             raise ValueError("expected 16 blocks of 32 signed c-references")
         for block in bl:

@@ -14,8 +14,6 @@ therefore doubles as a typo report for the renderings themselves, and
 the known typos are listed in the README.
 """
 
-from __future__ import annotations
-
 # 32x32 grid; entry (k, i) is the signed b-coefficient that multiplies a_i
 # into output coefficient k.  Tokens "bJ" / "-bJ".
 PRINTED_MUL_MATRIX_TEXT = """\

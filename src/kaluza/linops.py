@@ -12,8 +12,6 @@ as an addition.  ``materialize`` turns any of them, or any chain of
 them, into a dense matrix for verification.
 """
 
-from __future__ import annotations
-
 from operator import itemgetter
 
 from . import _factorized

@@ -19,8 +19,6 @@ halving also loses subnormals: 2**-1074*e3 times e0 gives 0.0, not
 5e-324.  Non-finite inputs propagate per IEEE semantics.
 """
 
-from __future__ import annotations
-
 from functools import cache
 
 from . import _direct, fixtures

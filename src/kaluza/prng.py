@@ -13,8 +13,6 @@ be byte-identical across Python versions, so the generator is pinned down
 to the arithmetic.
 """
 
-from __future__ import annotations
-
 _MULTIPLIER = 6364136223846793005
 _MASK64 = (1 << 64) - 1
 

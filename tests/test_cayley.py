@@ -1,13 +1,17 @@
 """Basis table: ground truth, validation, quadrant rendering."""
 
+import json
+
 import pytest
 
+import kaluza.cayley as cayley
 from bitmask_oracle import oracle_basis_mul
 from kaluza.cayley import (
     ERRATA,
     QUADRANTS,
     TABLE,
     VERBATIM_TABLE,
+    VERBATIM_TABLE_TEXT,
     CayleyTable,
     dump_table,
     format_token,
@@ -140,3 +144,47 @@ def test_constructor_rejects_bad_shape():
         CayleyTable([[(1, 0)] * 32] * 31)
     with pytest.raises(ValueError):
         CayleyTable([[(1, 0)] * 31] * 32)
+
+
+def test_from_text_parses_each_distinct_token_once(monkeypatch):
+    per_token = tuple(
+        tuple(parse_token(t) for t in line.split())
+        for line in VERBATIM_TABLE_TEXT.strip().splitlines()
+    )
+    calls = []
+    monkeypatch.setattr(cayley, "parse_token", lambda t: calls.append(t) or parse_token(t))
+    assert CayleyTable.from_text(VERBATIM_TABLE_TEXT).entries == per_token
+    assert len(calls) == len(set(calls)) == 64
+
+
+def test_from_text_names_the_first_bad_token_in_row_major_order():
+    rows = [line.split() for line in VERBATIM_TABLE_TEXT.strip().splitlines()]
+    rows[1][20] = "x9"  # first in row-major order, last in sorted order
+    rows[3][5] = "e40"
+    with pytest.raises(ValueError, match=r"^bad basis token 'x9'$"):
+        CayleyTable.from_text("\n".join(" ".join(r) for r in rows))
+
+
+def test_from_text_rejects_a_31_row_grid():
+    text = "\n".join(VERBATIM_TABLE_TEXT.strip().splitlines()[:31])
+    with pytest.raises(ValueError, match=r"^expected a 32x32 grid"):
+        CayleyTable.from_text(text)
+
+
+def test_constructor_rejects_non_integral_entries():
+    rows = [list(r) for r in TABLE.entries]
+    rows[3][5] = (-1.7, 14.9)  # used to build as (-1, 14), which validate_table accepts
+    with pytest.raises(ValueError, match=r"^entry \(-1\.7, 14\.9\) is not a pair of integers$"):
+        CayleyTable(rows)
+    rows[3][5] = ("1", "14")
+    with pytest.raises(ValueError, match="is not a pair of integers"):
+        CayleyTable(rows)
+
+
+def test_constructor_accepts_integral_floats_bools_and_json_pairs():
+    rows = json.loads(json.dumps([[[float(s), float(k)] for s, k in r] for r in TABLE.entries]))
+    rows[0][1] = [True, 1]
+    table = CayleyTable(rows)
+    assert table == TABLE
+    assert CayleyTable(iter([iter(r) for r in rows])) == TABLE  # one-shot rows are read once
+    assert {type(x) for r in table.entries for p in r for x in p} == {int}

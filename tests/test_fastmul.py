@@ -142,6 +142,12 @@ def test_diagonal_spec_shape_and_sign_validation():
     bad[0][0] = (2, 0)
     with pytest.raises(ValueError):
         DiagonalSpec(bad)
+    bad[0][0] = (1.0, 0.6)  # used to build as (1, 0)
+    with pytest.raises(ValueError, match=r"^entry \(1\.0, 0\.6\) is not a pair of integers$"):
+        DiagonalSpec(bad)
+    loaded = DiagonalSpec(json.loads(json.dumps([[[float(s), j] for s, j in b] for b in good.blocks])))
+    assert loaded.blocks == good.blocks
+    assert loaded.materialize(tuple(range(32))) == good.materialize(tuple(range(32)))
 
 
 def test_a_spec_the_generator_did_not_compile_refuses_to_materialize():
