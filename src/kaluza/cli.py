@@ -83,7 +83,7 @@ def _cmd_multiply(args) -> int:
     for x in results:
         print(x.to_text())
     if len(results) == 2:
-        diff = max(abs(x - y) for x, y in zip(*(r.coeffs for r in results)))
+        diff = _max_error(x - y for x, y in zip(*(r.coeffs for r in results)))
         print(f"max abs difference: {diff:.17g}")
     return 0
 

@@ -23,10 +23,13 @@ entry, as derive_diagonal_spec() resolves it), the pair butterfly
 order).  Every output entry is one expression, so the generator alone
 fixes the order of each function's floating-point operations.
 
-Both modules are committed, because unmarshalling their bytecode is
-cheaper than compiling the source at import.  Their operation counts are
-tallied from the terms the generator emits; the c-values' halving is a
-power-of-two scale and is not counted.
+Every function of both modules comes from one emitter, _stage, and each
+module from one assembler, _module, which writes the NAME_OPS tally of
+each function NAME: its (multiplications, additions), counted from the
+operators of its output expressions.  The c-values' halving is a
+power-of-two scale and is not counted.  Both modules are committed,
+because unmarshalling their bytecode is cheaper than compiling the
+source at import.
 """
 
 from pathlib import Path
@@ -71,53 +74,11 @@ def _signed(prefix: str, refs) -> list[str]:
     return [f"{prefix}{j}" if s > 0 else f"n{j}" for s, j in refs]
 
 
-def direct_source() -> str:
-    """The text of ``_direct.py``."""
-    matrix = symbolic_mul_matrix()
-    mults = adds = 0
-    body = []
-    for row in matrix:
-        terms = [f"{'-' if s < 0 else '+'} a{i} * b{j}" for i, (s, j) in enumerate(row)]
-        mults += len(terms)
-        adds += len(terms) - 1
-        sign, term = terms[0].split(" ", 1)
-        terms[0] = term if sign == "+" else "-" + term
-        lines = (
-            " ".join(terms[n:n + TERMS_PER_LINE])
-            for n in range(0, len(terms), TERMS_PER_LINE)
-        )
-        body.append("        " + "\n        ".join(lines) + ",\n")
-    a_names = ", ".join(f"a{i}" for i in range(32))
-    b_names = ", ".join(f"b{i}" for i in range(32))
-    return (
-        HEADER + " from TABLE; do not edit\n"
-        + '"""Straight-line direct product and M(b).\n\n'
-        + "mul_direct is one left-nested sum per output slot; mul_matrix returns\n"
-        + "the 32 rows of M(b), each entry a signed copy of one b-coefficient.\n"
-        + "MULTIPLICATIONS and ADDITIONS are the tally of mul_direct.\n"
-        + '"""\n\n'
-        + f"MULTIPLICATIONS = {mults}\n"
-        + f"ADDITIONS = {adds}\n\n\n"
-        + "def mul_direct(av, bv):\n"
-        + f"    {a_names} = av\n"
-        + f"    {b_names} = bv\n"
-        + "    return (\n"
-        + "".join(body)
-        + "    )\n\n\n"
-        + "def mul_matrix(bv):\n"
-        + f"    {b_names} = bv\n"
-        + _negations("b", (ref for row in matrix for ref in row))
-        + "    return (\n"
-        + "".join(f"        ({', '.join(_signed('b', row))}),\n" for row in matrix)
-        + "    )\n"
-    )
-
-
 def _stage(
     name: str, doc: str, sizes: dict[str, int], slots: list[str], per_line: int,
     brackets: str = "[]", negations: str = "",
 ):
-    """A generated stage function, which unpacks each argument into named
+    """A generated function, which unpacks each argument into named
     locals, binds the negations, and returns its slots as a list or tuple;
     and its (multiplications, additions) tally, counted from the operators
     in its output slots, where the HALF scale is free."""
@@ -136,6 +97,46 @@ def _stage(
         + f"    {brackets[1]}\n"
     )
     return name, tally, source
+
+
+def _module(doc: str, stages) -> str:
+    """A generated module: its docstring, the NAME_OPS tally of each
+    function, then the functions."""
+    return (
+        HEADER + "; do not edit\n"
+        + f'"""{doc}"""\n\n'
+        + "".join(f"{name.upper()}_OPS = {tally}\n" for name, tally, _ in stages)
+        + "".join(f"\n\n{source}" for _, _, source in stages)
+    )
+
+
+def direct_source() -> str:
+    """The text of ``_direct.py``."""
+    matrix = symbolic_mul_matrix()
+    slots = []
+    for row in matrix:
+        terms = [f"{'-' if s < 0 else '+'} a{i} * b{j}" for i, (s, j) in enumerate(row)]
+        terms[0] = terms[0].replace(" ", "", 1).lstrip("+")  # "+ x" -> "x", "- x" -> "-x"
+        slots.append("\n        ".join(
+            " ".join(terms[n:n + TERMS_PER_LINE]) for n in range(0, 32, TERMS_PER_LINE)
+        ))
+    return _module(
+        "Straight-line direct product and M(b).\n\n"
+        "mul_direct is one left-nested sum per output slot; mul_matrix returns\n"
+        "the 32 rows of M(b), each entry a signed copy of one b-coefficient.\n"
+        "Each NAME_OPS constant is the (multiplications, additions) of NAME.\n",
+        [
+            _stage(
+                "mul_direct", "Slot k is row k of M(b) applied to a, summed left to right.",
+                {"a": 32, "b": 32}, slots, 1, brackets="()",
+            ),
+            _stage(
+                "mul_matrix", "Row k of M(b): entry (s, j) is b{j} if s > 0, else n{j} = -b{j}.",
+                {"b": 32}, [f"({', '.join(_signed('b', row))})" for row in matrix], 1,
+                brackets="()", negations=_negations("b", (ref for row in matrix for ref in row)),
+            ),
+        ],
+    )
 
 
 def factorized_source() -> str:
@@ -171,16 +172,12 @@ def factorized_source() -> str:
             [" + ".join(f"x{32 * k + m}" for k in range(16)) for m in range(32)], 1,
         ),
     ]
-    tallies = "".join(f"{name.upper()}_OPS = {tally}\n" for name, tally, _ in stages)
-    return (
-        HEADER + "; do not edit\n"
-        + '"""Straight-line operand preparation and stages of the factorized chain.\n\n'
-        + "c_values and diagonal prepare a right operand; the other functions are\n"
-        + "the chain's arithmetic stages, one function per stage.  Each NAME_OPS\n"
-        + "constant is the (multiplications, additions) of NAME.\n"
-        + '"""\n\n'
-        + tallies
-        + "".join(f"\n\n{source}" for _, _, source in stages)
+    return _module(
+        "Straight-line operand preparation and stages of the factorized chain.\n\n"
+        "c_values and diagonal prepare a right operand; the other functions are\n"
+        "the chain's arithmetic stages, one function per stage.  Each NAME_OPS\n"
+        "constant is the (multiplications, additions) of NAME.\n",
+        stages,
     )
 
 

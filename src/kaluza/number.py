@@ -98,7 +98,7 @@ def mul_naive(a: KaluzaNumber, b: KaluzaNumber, counter: OpCount | None = None) 
     """
     out = _direct.mul_direct(a.coeffs, b.coeffs)
     if counter is not None:
-        counter.count(mults=_direct.MULTIPLICATIONS, adds=_direct.ADDITIONS)
+        counter.count(*_direct.MUL_DIRECT_OPS)
     return KaluzaNumber(out)
 
 

@@ -47,6 +47,23 @@ def test_multiply_both_engines_prints_both_lines_and_zero_difference(capsys):
     assert lines[2] == "max abs difference: 0"
 
 
+def test_multiply_both_engines_reports_a_nan_difference(capsys):
+    # The fast engine's range defect: 14 of its slots are NaN and others
+    # inf, where the naive product is finite.  Builtin max skips the NaN
+    # differences, so the line used to read inf.
+    left = [0] * 32
+    for i in (0, 8, 12, 18, 20, 21, 28, 30):
+        left[i] = 1
+    for i in (17, 26, 27):
+        left[i] = -1
+    right = ["0"] * 30 + ["9e307", "-1.7e308"]
+    code, out, _ = run(
+        capsys, "multiply", " ".join(map(str, left)), " ".join(right), "--engine", "both"
+    )
+    assert code == 0
+    assert out.splitlines()[2] == "max abs difference: nan"
+
+
 def test_multiply_reads_operand_files_with_comments(tmp_path, capsys):
     f = tmp_path / "left.txt"
     f.write_text("# left operand\n" + vec(1) + "  # basis\n")

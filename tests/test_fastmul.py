@@ -441,6 +441,25 @@ def test_fast_is_finite_and_tracks_naive_on_the_safe_side_of_overflow():
     assert all(abs(g - w) <= 1e-12 * scale for g, w in zip(got, want))
 
 
+# The fast engine's range defect, as the note in number.py documents it:
+# past max|b| = 2**1022 the butterflies overflow and inf * 0 gives NaN in
+# every slot, and the c-values' halving rounds 2**-1074 to zero.  A fix
+# of the defect must turn each of these into a pass.
+RANGE_DEFECT_OPERANDS = {
+    "1e308": [1e308] * 32,
+    "2**-1074*e3": [0.0] * 3 + [2.0**-1074] + [0.0] * 28,
+}
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the fast engine's range defect")
+@pytest.mark.parametrize("edge_on_left", (True, False), ids=("edge*e0", "e0*edge"))
+@pytest.mark.parametrize("edge", RANGE_DEFECT_OPERANDS)
+def test_fast_matches_naive_at_the_documented_range_edges(edge, edge_on_left):
+    x = KaluzaNumber(RANGE_DEFECT_OPERANDS[edge])
+    a, b = (x, E[0]) if edge_on_left else (E[0], x)
+    assert mul_fast(a, build_pipeline(b)).coeffs == mul_naive(a, b).coeffs
+
+
 # sha256 of both engines' results on the operands below, computed before
 # the column-wise fan-in rewrite and identical on CPython 3.10 to 3.13.
 # Any later kernel rewrite must keep every result bit for bit.

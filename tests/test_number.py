@@ -2,13 +2,14 @@
 
 import math
 import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kaluza
-from bitmask_oracle import oracle_mul
+from bitmask_oracle import oracle_basis_mul, oracle_mul
 from kaluza.cayley import TABLE, VERBATIM_TABLE
 from kaluza.linops import OpCount
 from kaluza.number import (
@@ -246,6 +247,45 @@ def test_direct_engines_are_exact_at_their_integer_bound():
         a, b, exact = _same_sign_slot_operands(2**24, k)
         assert list(map(int, mul_naive(a, b).coeffs)) == exact, k
         assert list(map(int, mul_dense(a, build_mul_matrix(b)).coeffs)) == exact, k
+
+
+# Every finite double times 2**1074 is an integer, so a product of two is
+# an integer over SCALE**2; the test below works in those integers.
+SCALE = 2**1074
+GAMMA_32 = 32 * Fraction(1, 2**53) / (1 - 32 * Fraction(1, 2**53))
+ORACLE = [[oracle_basis_mul(i, j) for j in range(32)] for i in range(32)]
+wide_vec = st.lists(
+    st.floats(min_value=-(2.0**505), max_value=2.0**505, allow_nan=False, allow_infinity=False),
+    min_size=32, max_size=32,
+)
+
+
+def _scaled(v: float, scale: int) -> int:
+    """v * scale, exactly, for a scale that clears v's power-of-two denominator."""
+    n, d = v.as_integer_ratio()
+    return n * (scale // d)
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_vec, wide_vec)
+def test_direct_engines_stay_within_the_recursive_summation_bound(xs, ys):
+    # Each slot sums 32 products left to right, so with u = 2**-53 its
+    # error is at most gamma_32 * sum |a_i * b_j|, plus 2**-1074 for each
+    # product that underflows.  With |coefficients| <= 2**505 no partial
+    # sum can overflow.
+    ax, bx = [_scaled(x, SCALE) for x in xs], [_scaled(y, SCALE) for y in ys]
+    exact, magnitude = [0] * 32, [0] * 32
+    for i, x in enumerate(ax):
+        for j, y in enumerate(bx):
+            s, k = ORACLE[i][j]
+            p = x * y
+            exact[k] += s * p
+            magnitude[k] += abs(p)
+    a, b = KaluzaNumber(xs), KaluzaNumber(ys)
+    for got in (mul_naive(a, b), mul_dense(a, build_mul_matrix(b))):
+        for k, v in enumerate(got.coeffs):
+            error = abs(_scaled(v, SCALE**2) - exact[k])
+            assert error <= GAMMA_32 * magnitude[k] + 32 * SCALE, (k, v)
 
 
 def test_dense_apply_on_identity_matrix_and_zero_vector():
