@@ -4,12 +4,13 @@ Five kernels cover everything the factorized multiplication needs:
 permutation, pairwise Hadamard butterflies, pair replication, diagonal
 scaling, and fan-in summation.  Every kernel is branch-free and takes a
 fixed length, so its cost is a fixed number and counters are bumped by
-that exact amount.  The four arithmetic kernels run the straight-line
-stages of ``_factorized.py``, which ``python -m kaluza.codegen`` writes
-together with their tallies.  Negations and power-of-two scalings are
-shift-class operations and stay off the books; a subtraction is tallied
-as an addition.  ``materialize`` turns any of them, or any chain of
-them, into a dense matrix for verification.
+that exact amount.  All but the permutation run the straight-line stages
+of ``_factorized.py``, written with their tallies by ``python -m
+kaluza.codegen``; a stage's tuple unpack rejects any other length, and
+a kernel counts only after its stage returns.  Negations and power-of-two
+scalings are shift-class operations and stay off the books; a subtraction
+is tallied as an addition.  ``materialize`` turns any of them, or any
+chain of them, into a dense matrix for verification.
 """
 
 from operator import itemgetter
@@ -44,8 +45,9 @@ class Permutation32:
     __slots__ = ("map", "_gather")
 
     def __init__(self, map_):
-        m = tuple(int(v) for v in map_)
-        if len(m) != self.SIZE or sorted(m) != list(range(self.SIZE)):
+        given = tuple(map_)
+        m = tuple(map(int, given))  # integral floats and bools pass; 0.7 or "7" do not
+        if m != given or sorted(m) != list(range(self.SIZE)):
             raise ValueError("permutation must be a bijection on 0..31")
         self.map = m
         self._gather = itemgetter(*m)
@@ -69,32 +71,22 @@ def hadamard_pairs(x, counter: OpCount | None = None) -> list:
 
     Two additions per pair; 32 in total.
     """
-    if len(x) != 32:
-        raise ValueError(f"expected a 32-vector, got length {len(x)}")
+    out = _factorized.butterfly(x)
     if counter is not None:
         counter.count(*_factorized.BUTTERFLY_OPS)
-    return _factorized.butterfly(x)
+    return out
 
 
-def replicate_pairs(x) -> list:
-    """Tile each adjacent pair of a 32-vector into its own block.
-
-    Output block k (entries 32k..32k+31) repeats (x[2k], x[2k+1]) sixteen
-    times.  Pure fan-out; nothing counted.
-    """
-    if len(x) != 32:
-        raise ValueError(f"expected a 32-vector, got length {len(x)}")
-    return _factorized.replicate(x)
+replicate_pairs = _factorized.replicate  # pure fan-out: nothing to count, so no wrapper
 
 
 def block_diagonal_scale(x, diag, counter: OpCount | None = None) -> list:
     """Componentwise product of two 512-vectors; one real multiplication
     per entry, 512 in total."""
-    if len(x) != 512 or len(diag) != 512:
-        raise ValueError(f"expected 512 entries: vector {len(x)}, diagonal {len(diag)}")
+    out = _factorized.diagonal_scale(x, diag)
     if counter is not None:
         counter.count(*_factorized.DIAGONAL_SCALE_OPS)
-    return _factorized.diagonal_scale(x, diag)
+    return out
 
 
 def fan_in_sum(x, counter: OpCount | None = None) -> list:
@@ -104,11 +96,10 @@ def fan_in_sum(x, counter: OpCount | None = None) -> list:
     ... + a15 of its entries in blocks 0, 1, ..., 15, so the additions
     run strictly in block order.  15 additions per slot; 480 in total.
     """
-    if len(x) != 512:
-        raise ValueError(f"expected a 512-vector, got length {len(x)}")
+    out = _factorized.fan_in(x)
     if counter is not None:
         counter.count(*_factorized.FAN_IN_OPS)
-    return _factorized.fan_in(x)
+    return out
 
 
 def materialize(fn, n_in: int) -> list[list[float]]:

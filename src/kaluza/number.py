@@ -6,17 +6,10 @@ It runs as straight-line code generated from the basis table
 (_direct.py, written by ``python -m kaluza.codegen``): one left-nested
 sum per output slot, its terms in table-row order.  The dense product
 has the same shape by hand, one left-nested sum per matrix row.
-Floating-point note (nothing here is checked at run time): table signs
-are +/-1, so with integer coefficients and 32*max|a|*max|b| <= 2**53
-every intermediate is exact and results are bit-exact (a test reaches
-2**53 in one slot with |coefficients| = 2**24); the factorized
-engine needs 64*max|a|*max|b| <= 2**53, e.g. |coefficients| <= 2**23.
-Results stay finite while 32*max|a|*max|b| <= 2**1023 here.  The
-factorized engine doubles a and b in butterflies, sums 16 diagonal
-products and doubles again, so it needs max|a|, max|b| <= 2**1022 and
-64*max|a|*max|b| <= 2**1023; b = [1e308]*32 times e0 gives NaN.  Its
-halving also loses subnormals: 2**-1074*e3 times e0 gives 0.0, not
-5e-324.  Non-finite inputs propagate per IEEE semantics.
+The integer bounds within which each engine is bit-exact, and the
+dynamic range within which its results stay finite, are stated once, in
+README.md ("How the fast engine works"); nothing here checks them at
+run time.
 """
 
 from functools import cache
@@ -109,9 +102,17 @@ def symbolic_mul_matrix(table: CayleyTable | None = None):
     Grid entry (k, i) is the signed b-index that multiplies a_i into
     output coefficient k: e_i * e_j = sign * e_k puts (sign, j) there.
     Each (k, i) slot is hit exactly once because every table row is a
-    signed permutation.  Computed once per table.
+    signed permutation.  An entry that is not a sign +/-1 and an index
+    0..31 raises ValueError; each distinct entry is checked once.
+    Computed once per table.
     """
     t = (TABLE if table is None else table).entries
+    bad = set().union(*t).difference((s, k) for s in (1, -1) for k in range(32))
+    if bad:
+        i, j = next((i, j) for i in range(32) for j in range(32) if t[i][j] in bad)
+        raise ValueError(
+            f"table entry ({i}, {j}) is {t[i][j]}, not a sign +/-1 and an index 0..31"
+        )
     grid = [[None] * 32 for _ in range(32)]
     for i in range(32):
         for j in range(32):

@@ -63,6 +63,14 @@ def test_permutation_requires_a_bijection():
         Permutation32([0] * 32)
     with pytest.raises(ValueError):
         Permutation32(list(range(31)))
+    # entries are integers: int() alone truncates 0.7 into the identity and
+    # converts digit strings
+    for entries in ([0.7] + list(range(1, 32)), [str(i) for i in range(32)]):
+        with pytest.raises(ValueError, match=r"^permutation must be a bijection on 0\.\.31$"):
+            Permutation32(entries)
+    # integral floats and bools are the integers they equal
+    assert Permutation32([float(i) for i in range(32)]).map == tuple(range(32))
+    assert Permutation32([False, True] + list(range(2, 32))).map == tuple(range(32))
 
 
 def test_identity_permutation_and_inverse():
@@ -92,7 +100,8 @@ def test_hadamard_pair_examples():
     assert twice == [6.0, 10.0, 14.0, 22.0] * 8  # H2 squared is 2I
     for n in (3, 31, 34):  # the butterfly takes exactly 32 entries
         with pytest.raises(ValueError):
-            hadamard_pairs([1.0] * n)
+            hadamard_pairs([1.0] * n, c)
+    assert c.as_tuple() == (0, 32)  # a rejected input counts nothing
 
 
 def test_replicate_layout():
@@ -107,6 +116,9 @@ def test_replicate_layout():
     z = replicate_pairs(e31)
     assert z[480:] == [0.0, 1.0] * 16
     assert all(v == 0.0 for v in z[:480])
+    for n in (3, 31, 33):  # replication takes exactly 32 entries
+        with pytest.raises(ValueError):
+            replicate_pairs([1.0] * n)
 
 
 def test_diagonal_scale_examples():
@@ -120,7 +132,8 @@ def test_diagonal_scale_examples():
     assert got[0:4] == [0.0, -1.0, 2.0, -3.0]
     for n_x, n_d in ((512, 511), (511, 512), (511, 511)):  # 512 on both sides
         with pytest.raises(ValueError):
-            block_diagonal_scale([1.0] * n_x, [1.0] * n_d)
+            block_diagonal_scale([1.0] * n_x, [1.0] * n_d, c)
+    assert c.as_tuple() == (512, 0)  # a rejected input counts nothing
 
 
 def test_fan_in_examples():
@@ -132,7 +145,8 @@ def test_fan_in_examples():
     assert c.as_tuple() == (0, 480)
     for n in (100, 480, 544, 1024):  # the fan-in takes exactly 512 entries
         with pytest.raises(ValueError):
-            fan_in_sum([1.0] * n)
+            fan_in_sum([1.0] * n, c)
+    assert c.as_tuple() == (0, 480)  # a rejected input counts nothing
 
 
 def test_fan_in_adds_strictly_left_to_right():

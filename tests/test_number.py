@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 import kaluza
 from bitmask_oracle import oracle_basis_mul, oracle_mul
-from kaluza.cayley import TABLE, VERBATIM_TABLE
+from kaluza.cayley import TABLE, VERBATIM_TABLE, CayleyTable, validate_table
+from kaluza.fastmul import derive_diagonal_spec
 from kaluza.linops import OpCount
 from kaluza.number import (
     KaluzaNumber,
@@ -303,6 +304,22 @@ def test_symbolic_matrix_entries():
     # each row references every b-index exactly once
     for row in sym:
         assert sorted(j for _, j in row) == list(range(32))
+
+
+def test_symbolic_matrix_refuses_entries_outside_the_signed_indices():
+    # Unchecked, (1, -1) in place of row 5's (1, 31) indexes the grid from
+    # the end and gives TABLE's matrix, so derive_diagonal_spec succeeds on
+    # it, and a sign of 3 is kept.  validate_table reports both as data.
+    for entry in ((1, -1), (3, 31)):
+        rows = [list(r) for r in TABLE.entries]
+        rows[5][26] = entry
+        table = CayleyTable(rows)
+        assert validate_table(table) != []
+        want = rf"^table entry \(5, 26\) is \({entry[0]}, {entry[1]}\), not a sign"
+        with pytest.raises(ValueError, match=want):
+            symbolic_mul_matrix(table)
+        with pytest.raises(ValueError, match=want):
+            derive_diagonal_spec(table)
 
 
 def test_printed_block_rendering_matches_the_derivation():
