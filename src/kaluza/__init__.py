@@ -4,9 +4,9 @@ Products can be taken directly from the basis multiplication table (1024
 real multiplications, 992 additions) or through a factorized pipeline of
 permutations, pairwise butterflies, one 512-entry diagonal, and a fan-in
 sum (512 multiplications, 576 additions including the one-time pairing
-of the right operand).  Both engines are exactly instrumented and agree
-bit-exactly on integer inputs with 64*max|a|*max|b| <= 2**53, for example
-|coefficients| <= 2**23; the bound is not checked.
+of the right operand).  Both engines are exactly instrumented.  The
+integer bounds within which they agree bit for bit are stated in
+README.md ("How the fast engine works").
 
 The top level holds the engines' entry points.  Everything else imports
 from its module: kaluza.cayley, .number, .linops or .fastmul.

@@ -3,9 +3,10 @@
 A Kaluza number has one real unit (index 0) and 31 imaginary units
 e1..e31.  The product of any two basis elements is another basis element
 up to sign, so the whole algebra is pinned down by a 32x32 table of
-signed indices.  The table is embedded below as a plain-text grid,
-transcribed from the typeset reference tables, so it can be audited cell
-by cell.
+signed references (sign +/-1, index 0..31); signed_refs checks that
+form for every such grid in the package.  The table is embedded below
+as a plain-text grid, transcribed from the typeset reference tables, so
+it can be audited cell by cell.
 
 The typeset source contains a single sign error at row e2, column e22
 (printed -e13).  Three independent checks agree it must be +e13: the
@@ -80,29 +81,31 @@ def format_token(p: tuple[int, int]) -> str:
     return f"-{body}" if sign < 0 else body
 
 
-class _IntPairs(dict):
-    """Memo from a pair to the same pair as two ints, checked on first sight."""
+class _SignedRefs(dict):
+    """The 64 signed references, each mapped to itself; any other key raises."""
 
     __slots__ = ()
 
     def __missing__(self, pair):
-        s, k = pair
-        si, ki = int(s), int(k)
-        if si != s or ki != k:
-            raise ValueError(f"entry {pair!r} is not a pair of integers")
-        self[pair] = out = (si, ki)
-        return out
+        raise ValueError(f"entry {pair!r} is not a sign +/-1 and an index 0..31")
 
 
-def int_pairs(grid) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The grid's lines as tuples of (int, int) pairs.
+_SIGNED_REFS = _SignedRefs({(s, k): (s, k) for s in (1, -1) for k in range(32)})
 
-    Integral floats and bools become ints; a pair holding a fractional
-    number or a string raises ValueError.  Each distinct pair is checked
-    once, so a 32x32 table of 64 distinct pairs converts 64, not 1024.
+
+def signed_refs(grid, rows: int, cols: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """A rows x cols grid of signed references as tuples of (int, int) pairs.
+
+    Each cell is one lookup among the 64 pairs (sign +/-1, index 0..31).
+    Integral floats and bools hash and compare equal to those ints, so
+    they pass and come back as ints; any other shape or pair, a
+    fractional, infinite or NaN number or a string included, raises
+    ValueError naming it.
     """
     lines = [tuple(line) for line in grid]  # read once, so a retry sees the same pairs
-    get = _IntPairs().__getitem__
+    if len(lines) != rows or any(len(line) != cols for line in lines):
+        raise ValueError(f"expected a {rows}x{cols} grid of (sign, index) entries")
+    get = _SIGNED_REFS.__getitem__
     try:
         return tuple(tuple(map(get, line)) for line in lines)
     except TypeError:  # unhashable pairs, such as lists loaded from JSON
@@ -112,19 +115,16 @@ def int_pairs(grid) -> tuple[tuple[tuple[int, int], ...], ...]:
 class CayleyTable:
     """Immutable 32x32 grid of (sign, index) pairs; rows are left factors.
 
-    The constructor checks only the shape.  Content rules (identity row
-    and column, signed-permutation rows and columns, unit squares on the
-    diagonal) are checked by validate_table, which reports violations as
-    data instead of refusing to build the object.
+    The constructor checks form and shape, through signed_refs.  Content
+    rules (identity row and column, signed-permutation rows and columns,
+    unit squares on the diagonal) are checked by validate_table, which
+    reports violations as data instead of refusing to build the object.
     """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        rows = int_pairs(entries)
-        if len(rows) != 32 or any(len(r) != 32 for r in rows):
-            raise ValueError("expected a 32x32 grid of (sign, index) entries")
-        self.entries = rows
+        self.entries = signed_refs(entries, 32, 32)
 
     @classmethod
     def from_text(cls, text: str) -> "CayleyTable":
@@ -154,21 +154,14 @@ TABLE = _apply_errata(VERBATIM_TABLE)
 
 
 def validate_table(table: CayleyTable) -> list[str]:
-    """Check every table invariant; a clean table yields an empty list.
+    """Check the content rules; a clean table yields an empty list.
 
-    Violations come back as human-readable strings naming the rule and
-    the offending row/column, so callers can print them directly.
+    The constructor has checked each entry's form.  Violations come back
+    as human-readable strings naming the rule and the offending
+    row/column, so callers can print them directly.
     """
     problems = []
     ent = table.entries
-
-    for i in range(32):
-        for j in range(32):
-            s, k = ent[i][j]
-            if s not in (1, -1):
-                problems.append(f"entry ({i}, {j}): sign {s} is not +1 or -1")
-            if not 0 <= k <= 31:
-                problems.append(f"entry ({i}, {j}): result index {k} out of range")
 
     for j in range(32):
         if ent[0][j] != (1, j):

@@ -28,7 +28,7 @@ itself.  A prepared right operand is plain data: compute_c returns the
 from functools import cache
 
 from . import _factorized
-from .cayley import CayleyTable, int_pairs
+from .cayley import CayleyTable, signed_refs
 from .fixtures import diff_printed, printed_diagonal_blocks, signed_token
 from .linops import (
     OpCount,
@@ -85,14 +85,7 @@ class DiagonalSpec:
     __slots__ = ("blocks", "_generated")
 
     def __init__(self, blocks):
-        bl = int_pairs(blocks)
-        if len(bl) != 16 or any(len(b) != 32 for b in bl):
-            raise ValueError("expected 16 blocks of 32 signed c-references")
-        for block in bl:
-            for s, j in block:
-                if s not in (1, -1) or not 0 <= j <= 31:
-                    raise ValueError(f"bad signed c-reference ({s}, {j})")
-        self.blocks = bl
+        self.blocks = bl = signed_refs(blocks, 16, 32)
         # Run on c_j = j + 1, the generated diagonal reads back as s * (j + 1)
         # for each reference it was generated from.  Compared, not enforced:
         # the generator builds a spec while the module may be stale.

@@ -14,6 +14,8 @@ therefore doubles as a typo report for the renderings themselves, and
 the known typos are listed in the README.
 """
 
+from .cayley import signed_refs
+
 # 32x32 grid; entry (k, i) is the signed b-coefficient that multiplies a_i
 # into output coefficient k.  Tokens "bJ" / "-bJ".
 PRINTED_MUL_MATRIX_TEXT = """\
@@ -101,13 +103,8 @@ def diff_printed(derived, printed, letter: str):
 
 
 def _parse_grid(text: str, letter: str, rows: int, cols: int):
-    grid = [
-        tuple(parse_signed_token(t, letter) for t in line.split())
-        for line in text.strip().splitlines()
-    ]
-    if len(grid) != rows or any(len(r) != cols for r in grid):
-        raise ValueError(f"expected a {rows}x{cols} grid")
-    return tuple(grid)
+    grid = ([parse_signed_token(t, letter) for t in ln.split()] for ln in text.strip().splitlines())
+    return signed_refs(grid, rows, cols)
 
 
 def printed_mul_matrix():

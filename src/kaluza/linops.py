@@ -46,10 +46,10 @@ class Permutation32:
 
     def __init__(self, map_):
         given = tuple(map_)
-        m = tuple(map(int, given))  # integral floats and bools pass; 0.7 or "7" do not
-        if m != given or sorted(m) != list(range(self.SIZE)):
+        # integral floats and bools pass; 0.7, inf, NaN or "7" do not
+        if len(given) != self.SIZE or set(given) != set(range(self.SIZE)):
             raise ValueError("permutation must be a bijection on 0..31")
-        self.map = m
+        self.map = m = tuple(map(int, given))
         self._gather = itemgetter(*m)
 
     def is_involution(self) -> bool:

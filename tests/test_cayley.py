@@ -1,6 +1,7 @@
 """Basis table: ground truth, validation, quadrant rendering."""
 
 import json
+import math
 
 import pytest
 
@@ -84,27 +85,34 @@ def test_validation_names_an_identity_row_violation():
 
 
 def test_validation_flags_bad_sign_and_bad_index():
+    # a sign other than +/-1 or an index outside 0..31 cannot enter a table,
+    # so validate_table never sees one
     rows = [list(r) for r in TABLE.entries]
-    rows[4][4] = (2, 40)
-    report = validate_table(CayleyTable(rows))
-    assert any("sign 2" in r for r in report)
-    assert any("index 40 out of range" in r for r in report)
+    for entry in ((2, 40), (2, 4), (1, 40)):
+        rows[4][4] = entry
+        want = rf"^entry \({entry[0]}, {entry[1]}\) is not a sign \+/-1 and an index 0\.\.31$"
+        with pytest.raises(ValueError, match=want):
+            CayleyTable(rows)
 
 
 def test_validation_reports_every_violation_in_rule_order():
     rows = [list(r) for r in TABLE.entries]
     rows[5][6] = rows[5][5]
     rows[0][3] = (1, 4)
-    rows[4][4] = (2, 40)
+    rows[4][4] = (1, 4)
+    rows[7][0] = (1, 8)
     assert validate_table(CayleyTable(rows)) == [
-        "entry (4, 4): sign 2 is not +1 or -1",
-        "entry (4, 4): result index 40 out of range",
         "identity-row violation at (0, 3): got e4, want e3",
+        "identity-column violation at (7, 0): got e8, want e7",
         "row 0: signed-permutation violation, result index 4 appears in columns [3, 4]",
+        "row 4: signed-permutation violation, result index 4 appears in columns [0, 4]",
         "row 5: signed-permutation violation, result index 0 appears in columns [5, 6]",
+        "row 7: signed-permutation violation, result index 8 appears in columns [0, 13]",
+        "column 0: signed-permutation violation, result index 8 appears in rows [7, 8]",
         "column 3: signed-permutation violation, result index 4 appears in rows [0, 13]",
+        "column 4: signed-permutation violation, result index 4 appears in rows [0, 4]",
         "column 6: signed-permutation violation, result index 0 appears in rows [5, 6]",
-        "diagonal violation at (4, 4): square is e40, not +1 or -1",
+        "diagonal violation at (4, 4): square is e4, not +1 or -1",
     ]
 
 
@@ -174,11 +182,14 @@ def test_from_text_rejects_a_31_row_grid():
 def test_constructor_rejects_non_integral_entries():
     rows = [list(r) for r in TABLE.entries]
     rows[3][5] = (-1.7, 14.9)  # used to build as (-1, 14), which validate_table accepts
-    with pytest.raises(ValueError, match=r"^entry \(-1\.7, 14\.9\) is not a pair of integers$"):
+    want = r"^entry \(-1\.7, 14\.9\) is not a sign \+/-1 and an index 0\.\.31$"
+    with pytest.raises(ValueError, match=want):
         CayleyTable(rows)
-    rows[3][5] = ("1", "14")
-    with pytest.raises(ValueError, match="is not a pair of integers"):
-        CayleyTable(rows)
+    # int() accepts digit strings, and raises OverflowError on infinity
+    for entry in (("1", "14"), (math.inf, 0), (1, math.inf), (math.nan, 14), (-1, math.nan)):
+        rows[3][5] = entry
+        with pytest.raises(ValueError, match="is not a sign"):
+            CayleyTable(rows)
 
 
 def test_constructor_accepts_integral_floats_bools_and_json_pairs():

@@ -143,7 +143,13 @@ def test_diagonal_spec_shape_and_sign_validation():
     with pytest.raises(ValueError):
         DiagonalSpec(bad)
     bad[0][0] = (1.0, 0.6)  # used to build as (1, 0)
-    with pytest.raises(ValueError, match=r"^entry \(1\.0, 0\.6\) is not a pair of integers$"):
+    with pytest.raises(ValueError, match=r"^entry \(1\.0, 0\.6\) is not a sign \+/-1 and an index 0\.\.31$"):
+        DiagonalSpec(bad)
+    bad[0][0] = json.loads("[1, Infinity]")  # int() would raise OverflowError
+    with pytest.raises(ValueError, match=r"^entry \(1, inf\) is not a sign"):
+        DiagonalSpec(bad)
+    bad[0][0] = json.loads("[NaN, 5]")
+    with pytest.raises(ValueError, match=r"^entry \(nan, 5\) is not a sign"):
         DiagonalSpec(bad)
     loaded = DiagonalSpec(json.loads(json.dumps([[[float(s), j] for s, j in b] for b in good.blocks])))
     assert loaded.blocks == good.blocks

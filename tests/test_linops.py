@@ -63,9 +63,14 @@ def test_permutation_requires_a_bijection():
         Permutation32([0] * 32)
     with pytest.raises(ValueError):
         Permutation32(list(range(31)))
-    # entries are integers: int() alone truncates 0.7 into the identity and
-    # converts digit strings
-    for entries in ([0.7] + list(range(1, 32)), [str(i) for i in range(32)]):
+    # entries are integers: int() alone truncates 0.7 into the identity,
+    # converts digit strings and raises OverflowError on infinity
+    for entries in (
+        [0.7] + list(range(1, 32)),
+        [str(i) for i in range(32)],
+        [math.inf] + list(range(1, 32)),
+        list(range(31)) + [math.nan],
+    ):
         with pytest.raises(ValueError, match=r"^permutation must be a bijection on 0\.\.31$"):
             Permutation32(entries)
     # integral floats and bools are the integers they equal

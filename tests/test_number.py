@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 import kaluza
 from bitmask_oracle import oracle_basis_mul, oracle_mul
-from kaluza.cayley import TABLE, VERBATIM_TABLE, CayleyTable, validate_table
-from kaluza.fastmul import derive_diagonal_spec
+from kaluza.cayley import TABLE, VERBATIM_TABLE, CayleyTable
 from kaluza.linops import OpCount
 from kaluza.number import (
     KaluzaNumber,
@@ -215,13 +214,16 @@ def test_dense_apply_equals_naive_bit_exact(xs, ys):
 def test_dense_rejects_a_matrix_that_is_not_32_by_32():
     a = KaluzaNumber(range(32))
     rows = build_mul_matrix(KaluzaNumber(range(1, 33)))
+    counter = OpCount()
     for bad in (
         rows[:31],
+        rows + rows[:1],
         (rows[0][:31],) + rows[1:],
         (rows[0] + (1.0,),) + rows[1:],
     ):
         with pytest.raises(ValueError):
-            mul_dense(a, bad)
+            mul_dense(a, bad, counter)
+    assert counter.as_tuple() == (0, 0)  # a rejected matrix counts nothing
 
 
 def _same_sign_slot_operands(m: int, k: int):
@@ -307,19 +309,14 @@ def test_symbolic_matrix_entries():
 
 
 def test_symbolic_matrix_refuses_entries_outside_the_signed_indices():
-    # Unchecked, (1, -1) in place of row 5's (1, 31) indexes the grid from
-    # the end and gives TABLE's matrix, so derive_diagonal_spec succeeds on
-    # it, and a sign of 3 is kept.  validate_table reports both as data.
+    # Unchecked, (1, -1) in place of row 5's (1, 31) would index the grid
+    # from the end and give TABLE's matrix, so derive_diagonal_spec would
+    # succeed on it, and a sign of 3 would be kept.  No table holds either.
     for entry in ((1, -1), (3, 31)):
         rows = [list(r) for r in TABLE.entries]
         rows[5][26] = entry
-        table = CayleyTable(rows)
-        assert validate_table(table) != []
-        want = rf"^table entry \(5, 26\) is \({entry[0]}, {entry[1]}\), not a sign"
-        with pytest.raises(ValueError, match=want):
-            symbolic_mul_matrix(table)
-        with pytest.raises(ValueError, match=want):
-            derive_diagonal_spec(table)
+        with pytest.raises(ValueError, match=rf"^entry \({entry[0]}, {entry[1]}\) is not a sign"):
+            CayleyTable(rows)
 
 
 def test_printed_block_rendering_matches_the_derivation():
