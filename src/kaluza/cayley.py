@@ -8,6 +8,10 @@ form for every such grid in the package.  The table is embedded below
 as a plain-text grid, transcribed from the typeset reference tables, so
 it can be audited cell by cell.
 
+A reference prints as one token, "-" or nothing and then letter + index
+("e6", "-b7", "c0"; the basis letter writes index 0 as "1").  format_ref
+is the only printer and parse_grid, its exact inverse, the only reader.
+
 The typeset source contains a single sign error at row e2, column e22
 (printed -e13).  Three independent checks agree it must be +e13: the
 reference rendering of the dense multiplication matrix implies +e13, the
@@ -62,25 +66,6 @@ VERBATIM_TABLE_TEXT = """\
 ERRATA = ((2, 22, "e13"),)
 
 
-def parse_token(tok: str) -> tuple[int, int]:
-    """(sign, index) of a basis token: e_i * e_j = sign * e_index."""
-    sign = -1 if tok.startswith("-") else 1
-    body = tok[1:] if tok[0] in "+-" else tok
-    if body == "1":
-        return (sign, 0)
-    if body.startswith("e") and body[1:].isdigit():
-        index = int(body[1:])
-        if 1 <= index <= 31:
-            return (sign, index)
-    raise ValueError(f"bad basis token {tok!r}")
-
-
-def format_token(p: tuple[int, int]) -> str:
-    sign, index = p
-    body = "1" if index == 0 else f"e{index}"
-    return f"-{body}" if sign < 0 else body
-
-
 class _SignedRefs(dict):
     """The 64 signed references, each mapped to itself; any other key raises."""
 
@@ -109,7 +94,27 @@ def signed_refs(grid, rows: int, cols: int) -> tuple[tuple[tuple[int, int], ...]
     try:
         return tuple(tuple(map(get, line)) for line in lines)
     except TypeError:  # unhashable pairs, such as lists loaded from JSON
-        return tuple(tuple(get(tuple(p)) for p in line) for line in lines)
+        lines = [[tuple(p) if isinstance(p, list) else p for p in line] for line in lines]
+        return tuple(tuple(map(get, line)) for line in lines)
+
+
+def format_ref(ref: tuple[int, int], letter: str = "e") -> str:
+    """The token of a signed reference: "-" or nothing, then letter + index."""
+    sign, index = ref
+    body = "1" if index == 0 and letter == "e" else f"{letter}{index}"
+    return f"-{body}" if sign < 0 else body
+
+
+def parse_grid(text: str, letter: str = "e") -> list[list[tuple[int, int]]]:
+    """The rows of a grid of tokens as (sign, index) pairs: the inverse of format_ref.
+
+    A token that format_ref prints for no pair raises ValueError, the first in row-major order.
+    """
+    refs = {format_ref(ref, letter): ref for ref in _SIGNED_REFS}
+    try:
+        return [[refs[t] for t in line.split()] for line in text.strip().splitlines()]
+    except KeyError as e:
+        raise ValueError(f"bad {letter}-token {e.args[0]!r}") from None
 
 
 class CayleyTable:
@@ -128,10 +133,7 @@ class CayleyTable:
 
     @classmethod
     def from_text(cls, text: str) -> "CayleyTable":
-        # 64 distinct tokens fill the 1024 cells: parse each once, in
-        # row-major order of first occurrence, so the first bad one raises.
-        parse = {t: parse_token(t) for t in dict.fromkeys(text.split())}.__getitem__
-        return cls([list(map(parse, line.split())) for line in text.strip().splitlines()])
+        return cls(parse_grid(text))
 
     def __eq__(self, other):
         return isinstance(other, CayleyTable) and self.entries == other.entries
@@ -146,7 +148,7 @@ VERBATIM_TABLE = CayleyTable.from_text(VERBATIM_TABLE_TEXT)
 def _apply_errata(table: CayleyTable) -> CayleyTable:
     rows = [list(r) for r in table.entries]
     for i, j, token in ERRATA:
-        rows[i][j] = parse_token(token)
+        rows[i][j] = parse_grid(token)[0][0]
     return CayleyTable(rows)
 
 
@@ -166,14 +168,14 @@ def validate_table(table: CayleyTable) -> list[str]:
     for j in range(32):
         if ent[0][j] != (1, j):
             problems.append(
-                f"identity-row violation at (0, {j}): got {format_token(ent[0][j])}, "
-                f"want {format_token((1, j))}"
+                f"identity-row violation at (0, {j}): got {format_ref(ent[0][j])}, "
+                f"want {format_ref((1, j))}"
             )
     for i in range(32):
         if ent[i][0] != (1, i):
             problems.append(
-                f"identity-column violation at ({i}, 0): got {format_token(ent[i][0])}, "
-                f"want {format_token((1, i))}"
+                f"identity-column violation at ({i}, 0): got {format_ref(ent[i][0])}, "
+                f"want {format_ref((1, i))}"
             )
 
     for axis, across, lines in (("row", "columns", ent), ("column", "rows", zip(*ent))):
@@ -192,7 +194,7 @@ def validate_table(table: CayleyTable) -> list[str]:
         if ent[i][i][1] != 0:
             problems.append(
                 f"diagonal violation at ({i}, {i}): square is "
-                f"{format_token(ent[i][i])}, not +1 or -1"
+                f"{format_ref(ent[i][i])}, not +1 or -1"
             )
 
     return problems
@@ -212,6 +214,6 @@ def dump_table(quadrant: str) -> str:
     c0 = 16 * (qi % 2)
     lines = []
     for i in range(r0, r0 + 16):
-        cells = [format_token(TABLE.entries[i][j]) for j in range(c0, c0 + 16)]
+        cells = [format_ref(TABLE.entries[i][j]) for j in range(c0, c0 + 16)]
         lines.append(" ".join(c.rjust(4) for c in cells).rstrip())
     return "\n".join(lines) + "\n"

@@ -28,8 +28,8 @@ itself.  A prepared right operand is plain data: compute_c returns the
 from functools import cache
 
 from . import _factorized
-from .cayley import CayleyTable, signed_refs
-from .fixtures import diff_printed, printed_diagonal_blocks, signed_token
+from .cayley import CayleyTable, format_ref, signed_refs
+from .fixtures import diff_printed, printed_diagonal_blocks
 from .linops import (
     OpCount,
     Permutation32,
@@ -129,14 +129,14 @@ def derive_diagonal_spec(table: CayleyTable | None = None) -> DiagonalSpec:
             if a != d or b != c:
                 raise ValueError(
                     f"block ({r}, {k}) of the permuted matrix is not bisymmetric: "
-                    f"[[{signed_token(*a, 'b')}, {signed_token(*b, 'b')}], "
-                    f"[{signed_token(*c, 'b')}, {signed_token(*d, 'b')}]]"
+                    f"[[{format_ref(a, 'b')}, {format_ref(b, 'b')}], "
+                    f"[{format_ref(c, 'b')}, {format_ref(d, 'b')}]]"
                 )
             t = pair_index.get((a[1], b[1]))
             if t is None:
                 raise ValueError(
-                    f"block ({r}, {k}): A = {signed_token(*a, 'b')} and B = "
-                    f"{signed_token(*b, 'b')} do not refer to a pair's first "
+                    f"block ({r}, {k}): A = {format_ref(a, 'b')} and B = "
+                    f"{format_ref(b, 'b')} do not refer to a pair's first "
                     f"member and its partner"
                 )
             # s_{2r} = (A+B)/2 and s_{2r+1} = (A-B)/2, each +/- c[2t] or c[2t+1]

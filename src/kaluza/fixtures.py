@@ -4,7 +4,8 @@ Two structures that this package derives from the basis table were also
 rendered, cell by cell, in the typeset reference material: the dense
 multiplication matrix (as signed b-coefficient symbols) and the sixteen
 32-entry diagonal blocks of the factorized pipeline (as signed c-vector
-symbols).  Those renderings are transcribed here verbatim.
+symbols).  Those renderings are transcribed here verbatim; cayley's
+parse_grid reads them and its format_ref prints their tokens.
 
 They are never used to build anything.  The embedded basis table is the
 only ground truth; the derivations are mechanical.  Diffing the derived
@@ -14,7 +15,7 @@ therefore doubles as a typo report for the renderings themselves, and
 the known typos are listed in the README.
 """
 
-from .cayley import signed_refs
+from .cayley import format_ref, parse_grid, signed_refs
 
 # 32x32 grid; entry (k, i) is the signed b-coefficient that multiplies a_i
 # into output coefficient k.  Tokens "bJ" / "-bJ".
@@ -75,43 +76,24 @@ PRINTED_DIAGONAL_TEXT = """\
 """
 
 
-def parse_signed_token(tok: str, letter: str) -> tuple[int, int]:
-    sign = -1 if tok.startswith("-") else 1
-    body = tok[1:] if tok[0] in "+-" else tok
-    if body.startswith(letter) and body[1:].isdigit():
-        index = int(body[1:])
-        if 0 <= index <= 31:
-            return (sign, index)
-    raise ValueError(f"bad {letter}-token {tok!r}")
-
-
-def signed_token(sign: int, index: int, letter: str) -> str:
-    return f"-{letter}{index}" if sign < 0 else f"{letter}{index}"
-
-
 def diff_printed(derived, printed, letter: str):
     """(row, column, derived token, printed token) for every cell that differs.
 
     Both grids hold (sign, index) pairs and have the same shape.
     """
     return [
-        (r, c, signed_token(*d, letter), signed_token(*p, letter))
+        (r, c, format_ref(d, letter), format_ref(p, letter))
         for r, (d_row, p_row) in enumerate(zip(derived, printed))
         for c, (d, p) in enumerate(zip(d_row, p_row))
         if d != p
     ]
 
 
-def _parse_grid(text: str, letter: str, rows: int, cols: int):
-    grid = ([parse_signed_token(t, letter) for t in ln.split()] for ln in text.strip().splitlines())
-    return signed_refs(grid, rows, cols)
-
-
 def printed_mul_matrix():
     """The rendered multiplication matrix as a 32x32 grid of (sign, b-index)."""
-    return _parse_grid(PRINTED_MUL_MATRIX_TEXT, "b", 32, 32)
+    return signed_refs(parse_grid(PRINTED_MUL_MATRIX_TEXT, "b"), 32, 32)
 
 
 def printed_diagonal_blocks():
     """The rendered diagonal as 16 blocks of 32 (sign, c-index) references."""
-    return _parse_grid(PRINTED_DIAGONAL_TEXT, "c", 16, 32)
+    return signed_refs(parse_grid(PRINTED_DIAGONAL_TEXT, "c"), 16, 32)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -15,10 +16,11 @@ from kaluza.cayley import (
     VERBATIM_TABLE_TEXT,
     CayleyTable,
     dump_table,
-    format_token,
-    parse_token,
+    format_ref,
+    parse_grid,
     validate_table,
 )
+from kaluza.fixtures import PRINTED_DIAGONAL_TEXT, PRINTED_MUL_MATRIX_TEXT
 
 
 def test_every_cell_matches_the_generator_oracle():
@@ -55,13 +57,39 @@ def test_corrected_cell_agrees_with_oracle_and_verbatim_does_not():
 
 def test_token_round_trip():
     for tok in ("1", "-1", "e6", "-e31"):
-        assert format_token(parse_token(tok)) == tok
-    assert parse_token("1") == (1, 0)
-    assert parse_token("-e13") == (-1, 13)
+        assert format_ref(parse_grid(tok)[0][0]) == tok
+    assert parse_grid("1") == [[(1, 0)]]
+    assert parse_grid("-e13") == [[(-1, 13)]]
     with pytest.raises(ValueError):
-        parse_token("e32")
+        parse_grid("e32")
     with pytest.raises(ValueError):
-        parse_token("x3")
+        parse_grid("x3")
+
+
+@pytest.mark.parametrize("letter", ["e", "b", "c"])
+def test_parse_grid_is_the_inverse_of_format_ref(letter):
+    for ref in [(s, k) for s in (1, -1) for k in range(32)]:
+        assert parse_grid(format_ref(ref, letter), letter) == [[ref]]
+
+
+def test_parse_grid_rejects_every_spelling_no_printer_writes():
+    spellings = [
+        ("+e3", "e"), ("e03", "e"), ("e\u0663", "e"), ("e0", "e"), ("+1", "e"),
+        ("+c3", "c"), ("c03", "c"), ("b32", "b"), ("1", "b"), ("b4", "c"),
+    ]
+    for token, letter in spellings:
+        with pytest.raises(ValueError, match=f"^bad {letter}-token {re.escape(repr(token))}$"):
+            parse_grid(token, letter)
+
+
+def test_every_embedded_token_is_the_printed_form_of_its_pair():
+    for text, letter in (
+        (VERBATIM_TABLE_TEXT, "e"),
+        (PRINTED_MUL_MATRIX_TEXT, "b"),
+        (PRINTED_DIAGONAL_TEXT, "c"),
+    ):
+        printed = [[format_ref(ref, letter) for ref in row] for row in parse_grid(text, letter)]
+        assert printed == [line.split() for line in text.strip().splitlines()]
 
 
 def test_embedded_table_validates_clean():
@@ -155,12 +183,16 @@ def test_constructor_rejects_bad_shape():
 
 
 def test_from_text_parses_each_distinct_token_once(monkeypatch):
+    # the work is per distinct token, not per cell: the 64 pairs are
+    # printed once each, and each of the 1024 cells is one lookup
     per_token = tuple(
-        tuple(parse_token(t) for t in line.split())
+        tuple(parse_grid(t)[0][0] for t in line.split())
         for line in VERBATIM_TABLE_TEXT.strip().splitlines()
     )
     calls = []
-    monkeypatch.setattr(cayley, "parse_token", lambda t: calls.append(t) or parse_token(t))
+    monkeypatch.setattr(
+        cayley, "format_ref", lambda ref, letter="e": calls.append(ref) or format_ref(ref, letter)
+    )
     assert CayleyTable.from_text(VERBATIM_TABLE_TEXT).entries == per_token
     assert len(calls) == len(set(calls)) == 64
 
@@ -169,7 +201,7 @@ def test_from_text_names_the_first_bad_token_in_row_major_order():
     rows = [line.split() for line in VERBATIM_TABLE_TEXT.strip().splitlines()]
     rows[1][20] = "x9"  # first in row-major order, last in sorted order
     rows[3][5] = "e40"
-    with pytest.raises(ValueError, match=r"^bad basis token 'x9'$"):
+    with pytest.raises(ValueError, match=r"^bad e-token 'x9'$"):
         CayleyTable.from_text("\n".join(" ".join(r) for r in rows))
 
 
@@ -190,6 +222,11 @@ def test_constructor_rejects_non_integral_entries():
         rows[3][5] = entry
         with pytest.raises(ValueError, match="is not a sign"):
             CayleyTable(rows)
+    # a grid of JSON lists takes the retry path, which names a bare number the same way
+    rows = json.loads(json.dumps(TABLE.entries))
+    rows[3][5] = 5
+    with pytest.raises(ValueError, match=r"^entry 5 is not a sign \+/-1 and an index 0\.\.31$"):
+        CayleyTable(rows)
 
 
 def test_constructor_accepts_integral_floats_bools_and_json_pairs():

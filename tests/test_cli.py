@@ -1,7 +1,10 @@
 """CLI behavior through main(), including exit codes and report shape."""
 
 import hashlib
+import importlib
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -342,3 +345,16 @@ def test_unknown_subcommand_exits_2(capsys):
 
 def test_help_exits_0(capsys):
     assert run(capsys, "--help")[0] == 0
+
+
+def test_console_script_is_cli_main(capsys):
+    # README's usage runs the installed `kaluza` command; pyproject.toml names
+    # its target, read with a regex because tomllib is 3.11+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    text = pyproject.read_text(encoding="utf-8")
+    script = re.search(r'^\[project\.scripts\]\nkaluza = "([\w.]+):(\w+)"$', text, re.M)
+    module, name = script.groups()
+    target = getattr(importlib.import_module(module), name)
+    assert target is kaluza.cli.main
+    assert target(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: kaluza ")
