@@ -74,6 +74,13 @@ class _SignedRefs(dict):
     def __missing__(self, pair):
         raise ValueError(f"entry {pair!r} is not a sign +/-1 and an index 0..31")
 
+    def lookup(self, pair):
+        """self[pair], where an unhashable pair raises as a missing one."""
+        try:
+            return self[pair]
+        except TypeError:
+            return self.__missing__(pair)
+
 
 _SIGNED_REFS = _SignedRefs({(s, k): (s, k) for s in (1, -1) for k in range(32)})
 
@@ -84,8 +91,8 @@ def signed_refs(grid, rows: int, cols: int) -> tuple[tuple[tuple[int, int], ...]
     Each cell is one lookup among the 64 pairs (sign +/-1, index 0..31).
     Integral floats and bools hash and compare equal to those ints, so
     they pass and come back as ints; any other shape or pair, a
-    fractional, infinite or NaN number or a string included, raises
-    ValueError naming it.
+    fractional, infinite or NaN number, a string or an unhashable cell
+    included, raises ValueError naming it.
     """
     lines = [tuple(line) for line in grid]  # read once, so a retry sees the same pairs
     if len(lines) != rows or any(len(line) != cols for line in lines):
@@ -95,7 +102,7 @@ def signed_refs(grid, rows: int, cols: int) -> tuple[tuple[tuple[int, int], ...]
         return tuple(tuple(map(get, line)) for line in lines)
     except TypeError:  # unhashable pairs, such as lists loaded from JSON
         lines = [[tuple(p) if isinstance(p, list) else p for p in line] for line in lines]
-        return tuple(tuple(map(get, line)) for line in lines)
+        return tuple(tuple(map(_SIGNED_REFS.lookup, line)) for line in lines)
 
 
 def format_ref(ref: tuple[int, int], letter: str = "e") -> str:

@@ -30,6 +30,7 @@ from .linops import (
     apply_permutation,
     fan_in_sum,
     hadamard_pairs,
+    lane,
     materialize,
     replicate_pairs,
 )
@@ -270,18 +271,21 @@ def _cmd_dump(args) -> int:
         print(dump_table(args.quadrant))
         return 0
     if what == "factors":
+        # The 512 lanes print block by block: row (column) 32k + m is lane(k, m).
+        blocks = [lane(k, m) for k in range(16) for m in range(32)]
+        replicate = materialize(replicate_pairs, 32)
+        fan_in = materialize(fan_in_sum, 512)
         factors = [
-            ("permute", lambda x: apply_permutation(PAIRING_PERMUTATION, x), 32),
-            ("hadamard-pairs", hadamard_pairs, 32),
-            ("replicate", replicate_pairs, 32),
-            ("fan-in", fan_in_sum, 512),
+            ("permute", materialize(lambda x: apply_permutation(PAIRING_PERMUTATION, x), 32)),
+            ("hadamard-pairs", materialize(hadamard_pairs, 32)),
+            ("replicate", [replicate[i] for i in blocks]),
+            ("fan-in", [[row[i] for i in blocks] for row in fan_in]),
         ]
         print(
             "# chain: permute -> hadamard-pairs -> replicate -> diagonal(b) "
             "-> fan-in -> hadamard-pairs -> permute"
         )
-        for name, fn, n_in in factors:
-            m = materialize(fn, n_in)
+        for name, m in factors:
             print(f"# {name} {len(m)}x{len(m[0])}")
             print(_fmt_matrix(m))
         return 0
@@ -294,7 +298,7 @@ def _cmd_dump(args) -> int:
     else:  # diagonal
         values = build_pipeline(b).diagonal
         for k in range(16):
-            row = values[32 * k : 32 * (k + 1)]
+            row = (values[lane(k, m)] for m in range(32))
             print(f"block {k}: " + " ".join(f"{v:.17g}" for v in row))
     return 0
 

@@ -17,11 +17,12 @@ never a negation.  mul_matrix returns the same matrix over values: entry
 function per arithmetic stage of the factorized chain, at its pipeline
 size: the c-values (32 -> 32, the sum and difference of each coefficient
 pair, halved), the diagonal (32 -> 512, a signed copy of one c-value per
-entry, as derive_diagonal_spec() resolves it), the pair butterfly
-(32 -> 32), the pair replication (32 -> 512), the diagonal scale
-(512 x 512) and the fan-in (512 -> 32, each slot left-nested in block
-order).  Every output entry is one expression, so the generator alone
-fixes the order of each function's floating-point operations.
+lane, as derive_diagonal_spec() resolves it), the pair butterfly
+(32 -> 32), the diagonal scale (512 x 512) and the fan-in (512 -> 32,
+each slot left-nested in block order).  The 512 lanes are lane-major
+(linops.lane), so replication is a list repetition and is not
+generated.  Every output entry is one expression, so the generator
+alone fixes the order of each function's floating-point operations.
 
 Every function of both modules comes from one emitter, _stage, and each
 module from one assembler, _module, which writes the NAME_OPS tally of
@@ -35,6 +36,7 @@ source at import.
 from pathlib import Path
 
 from .fastmul import coefficient_pairs, derive_diagonal_spec
+from .linops import lane
 from .number import symbolic_mul_matrix
 
 HEADER = "# generated by python -m kaluza.codegen"
@@ -141,7 +143,10 @@ def direct_source() -> str:
 
 def factorized_source() -> str:
     """The text of ``_factorized.py``."""
-    refs = [ref for block in derive_diagonal_spec().blocks for ref in block]
+    refs = [None] * 512
+    for k, block in enumerate(derive_diagonal_spec().blocks):
+        for m, ref in enumerate(block):
+            refs[lane(k, m)] = ref
     stages = [
         _stage(
             "c_values", "Pair t = (u, v) gives (b{u} + b{v}) * 0.5, (b{u} - b{v}) * 0.5.",
@@ -150,7 +155,7 @@ def factorized_source() -> str:
             brackets="()",
         ),
         _stage(
-            "diagonal", "Entry 32k + m is +c{j} or -c{j} for (s, j) = blocks[k][m] of the spec.",
+            "diagonal", "Lane lane(k, m) is +c{j} or -c{j} for (s, j) = blocks[k][m] of the spec.",
             {"c": 32}, _signed("c", refs), NAMES_PER_LINE,
             brackets="()", negations=_negations("c", refs),
         ),
@@ -159,17 +164,12 @@ def factorized_source() -> str:
             [f"x{k} {op} x{k + 1}" for k in range(0, 32, 2) for op in "+-"], 4,
         ),
         _stage(
-            "replicate", "Block k of the 512 outputs is (x{2k}, x{2k+1}) sixteen times.",
-            {"x": 32}, [f"x{k + r % 2}" for k in range(0, 32, 2) for r in range(32)],
-            NAMES_PER_LINE,
-        ),
-        _stage(
             "diagonal_scale", "Entry i is x{i} * d{i}.", {"x": 512, "d": 512},
             [f"x{i} * d{i}" for i in range(512)], TERMS_PER_LINE,
         ),
         _stage(
-            "fan_in", "Slot m is x{m} + x{32+m} + ... + x{480+m}, in block order.", {"x": 512},
-            [" + ".join(f"x{32 * k + m}" for k in range(16)) for m in range(32)], 1,
+            "fan_in", "Slot m is x{lane(0, m)} + ... + x{lane(15, m)}, in block order.",
+            {"x": 512}, [" + ".join(f"x{lane(k, m)}" for k in range(16)) for m in range(32)], 1,
         ),
     ]
     return _module(

@@ -22,7 +22,8 @@ typo cross-check.
 mul_fast is the one description of the chain; the dense matrix of a
 pipeline, checked against the direct one, is built by running mul_fast
 itself.  A prepared right operand is plain data: compute_c returns the
-32 c-values as a tuple and FactorizedPipeline holds only the diagonal.
+32 c-values as a tuple and FactorizedPipeline holds only the diagonal,
+in lane order (linops.lane).
 """
 
 from functools import cache
@@ -37,10 +38,11 @@ from .linops import (
     block_diagonal_scale,
     fan_in_sum,
     hadamard_pairs,
+    lane,
     materialize,
     replicate_pairs,
 )
-from .number import KaluzaNumber, mul_naive, symbolic_mul_matrix
+from .number import KaluzaNumber, mul_naive, symbolic_mul_matrix, wrap_result
 
 # Reorder that puts each paired coefficient next to its partner: slots
 # (2t, 2t+1) pick up the pair (map[2t], map[2t+1]).  It is an involution,
@@ -76,10 +78,10 @@ def compute_c(b: KaluzaNumber, counter: OpCount | None = None) -> tuple[float, .
 class DiagonalSpec:
     """Sixteen blocks of 32 signed references into the c-vector.
 
-    Block k holds the diagonal slice that scales replicated pair block k;
-    slot m of block k is the eigenvalue s_m of the (row pair m//2, column
-    pair k) bisymmetric block.  Only the blocks that the generated
-    _factorized.diagonal resolves can be materialized.
+    Block k holds the diagonal entries that scale pair block k; slot m of
+    block k is the eigenvalue s_m of the (row pair m//2, column pair k)
+    bisymmetric block, and it scales lane lane(k, m).  Only the blocks
+    that the generated _factorized.diagonal resolves can be materialized.
     """
 
     __slots__ = ("blocks", "_generated")
@@ -87,13 +89,18 @@ class DiagonalSpec:
     def __init__(self, blocks):
         self.blocks = bl = signed_refs(blocks, 16, 32)
         # Run on c_j = j + 1, the generated diagonal reads back as s * (j + 1)
-        # for each reference it was generated from.  Compared, not enforced:
-        # the generator builds a spec while the module may be stale.
+        # in the lane of each reference it was generated from; block k's slots
+        # of parity p sit in every 32nd lane from lane(k, p).  Compared, not
+        # enforced: the generator builds a spec while the module may be stale.
         compiled = _factorized.diagonal(range(1, 33))
-        self._generated = compiled == tuple(s * (j + 1) for block in bl for s, j in block)
+        want = tuple(s * (j + 1) for block in bl for s, j in block)
+        self._generated = all(
+            compiled[lane(k, p)::32] == want[32 * k + p:32 * k + 32:2]
+            for k in range(16) for p in (0, 1)
+        )
 
     def materialize(self, c: tuple[float, ...]) -> tuple[float, ...]:
-        """Concrete 512-entry diagonal from the 32-tuple c.
+        """Concrete 512-entry diagonal from the 32-tuple c, in lane order.
 
         Sign application only, nothing counted.  Raises ValueError if
         _factorized.diagonal was generated from other blocks.
@@ -156,16 +163,18 @@ def compare_printed_diagonal():
 
 
 class FactorizedPipeline:
-    """The 512-entry diagonal of a fixed right operand.
+    """The 512-entry diagonal of a fixed right operand, in lane order.
 
     Immutable after construction; mul_fast applies it to as many left
     operands as desired at 512 multiplications and 544 additions each.
+    The c-values take the float() pass and length check of a
+    KaluzaNumber's coefficients, so a pipeline holds only floats.
     """
 
     __slots__ = ("diagonal",)
 
     def __init__(self, c: tuple[float, ...]):
-        self.diagonal = derive_diagonal_spec().materialize(c)
+        self.diagonal = derive_diagonal_spec().materialize(KaluzaNumber(c).coeffs)
 
     def materialize(self) -> list[list[float]]:
         """Dense 32x32 matrix of mul_fast with this pipeline, built from unit
@@ -183,7 +192,11 @@ def build_pipeline(b: KaluzaNumber, counter: OpCount | None = None) -> Factorize
 
 
 def mul_fast(a: KaluzaNumber, p: FactorizedPipeline, counter: OpCount | None = None) -> KaluzaNumber:
-    """Multiply via a prebuilt pipeline: 512 multiplications, 544 additions."""
+    """Multiply via a prebuilt pipeline: 512 multiplications, 544 additions.
+
+    Every value is a float from a or from the pipeline, so the result is
+    wrapped without a float() pass.
+    """
     x = apply_permutation(PAIRING_PERMUTATION, a.coeffs)
     x = hadamard_pairs(x, counter)  # 32 additions
     x = replicate_pairs(x)
@@ -191,7 +204,7 @@ def mul_fast(a: KaluzaNumber, p: FactorizedPipeline, counter: OpCount | None = N
     x = fan_in_sum(x, counter)  # 480 additions
     x = hadamard_pairs(x, counter)  # 32 additions
     x = apply_permutation(PAIRING_PERMUTATION, x)
-    return KaluzaNumber(x)
+    return wrap_result(tuple(x))
 
 
 def count_operations(engine: str, include_preprocessing: bool = True) -> OpCount:

@@ -1,13 +1,15 @@
 """Linear-operator kernels with exact operation accounting.
 
 Five kernels cover everything the factorized multiplication needs:
-permutation, pairwise Hadamard butterflies, pair replication, diagonal
+permutation, pairwise Hadamard butterflies, replication, diagonal
 scaling, and fan-in summation.  Every kernel is branch-free and takes a
 fixed length, so its cost is a fixed number and counters are bumped by
-that exact amount.  All but the permutation run the straight-line stages
-of ``_factorized.py``, written with their tallies by ``python -m
-kaluza.codegen``; a stage's tuple unpack rejects any other length, and
-a kernel counts only after its stage returns.  Negations and power-of-two
+that exact amount.  The butterfly, the diagonal scale and the fan-in run
+the straight-line stages of ``_factorized.py``, written with their
+tallies by ``python -m kaluza.codegen``; a stage's tuple unpack rejects
+any other length, and a kernel counts only after its stage returns.
+The 512 lanes between replication and fan-in are lane-major: lane
+``lane(k, m)`` carries slot m of pair block k.  Negations and power-of-two
 scalings are shift-class operations and stay off the books; a subtraction
 is tallied as an addition.  ``materialize`` turns any of them, or any
 chain of them, into a dense matrix for verification.
@@ -77,7 +79,24 @@ def hadamard_pairs(x, counter: OpCount | None = None) -> list:
     return out
 
 
-replicate_pairs = _factorized.replicate  # pure fan-out: nothing to count, so no wrapper
+def lane(k: int, m: int) -> int:
+    """The lane of slot m (0..31) of pair block k (0..15) among the 512.
+
+    Block k scales x{2k} (even m) or x{2k+1} (odd m); laid out lane-major,
+    lane 32r + i carries x{i}, so the pair block's slot m sits in copy m//2.
+    """
+    return 32 * (m // 2) + 2 * k + m % 2
+
+
+def replicate_pairs(x) -> list:
+    """Sixteen copies of a 32-list, one after another: lane 32r + i is x[i].
+
+    So lane(k, m) carries x[2k + m%2].  Pure fan-out; zero counted
+    operations.
+    """
+    if len(x) != 32:
+        raise ValueError(f"expected a 32-vector, got length {len(x)}")
+    return x * 16
 
 
 def block_diagonal_scale(x, diag, counter: OpCount | None = None) -> list:
@@ -90,11 +109,11 @@ def block_diagonal_scale(x, diag, counter: OpCount | None = None) -> list:
 
 
 def fan_in_sum(x, counter: OpCount | None = None) -> list:
-    """Sum the sixteen 32-blocks of a 512-vector: out[m] = sum over k of x[32k + m].
+    """Sum the sixteen pair blocks of a 512-vector: out[m] = sum over k of x[lane(k, m)].
 
-    Column by column: each slot is one left-nested sum ((a0 + a1) + a2) +
-    ... + a15 of its entries in blocks 0, 1, ..., 15, so the additions
-    run strictly in block order.  15 additions per slot; 480 in total.
+    Slot by slot: each slot is one left-nested sum ((a0 + a1) + a2) +
+    ... + a15 of its lanes in blocks 0, 1, ..., 15, so the additions run
+    strictly in block order.  15 additions per slot; 480 in total.
     """
     out = _factorized.fan_in(x)
     if counter is not None:

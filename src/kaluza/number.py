@@ -80,6 +80,18 @@ class KaluzaNumber:
         return f"KaluzaNumber<{' + '.join(terms) if terms else '0'}>"
 
 
+def wrap_result(coeffs: tuple) -> KaluzaNumber:
+    """A KaluzaNumber around a generated engine's 32-tuple, as it is.
+
+    No float() pass and no length check: products and sums of the floats
+    in KaluzaNumbers and pipelines are floats, and the generated code
+    returns exactly 32 of them.
+    """
+    out = object.__new__(KaluzaNumber)
+    out.coeffs = coeffs
+    return out
+
+
 def mul_naive(a: KaluzaNumber, b: KaluzaNumber, counter: OpCount | None = None) -> KaluzaNumber:
     """Direct product: route all 1024 signed terms through the table.
 
@@ -92,7 +104,7 @@ def mul_naive(a: KaluzaNumber, b: KaluzaNumber, counter: OpCount | None = None) 
     out = _direct.mul_direct(a.coeffs, b.coeffs)
     if counter is not None:
         counter.count(*_direct.MUL_DIRECT_OPS)
-    return KaluzaNumber(out)
+    return wrap_result(out)
 
 
 @cache

@@ -227,6 +227,11 @@ def test_constructor_rejects_non_integral_entries():
     rows[3][5] = 5
     with pytest.raises(ValueError, match=r"^entry 5 is not a sign \+/-1 and an index 0\.\.31$"):
         CayleyTable(rows)
+    # and so is a cell that stays unhashable once its outer list is a tuple
+    for entry, shown in (({}, r"\{\}"), ([[1], 0], r"\(\[1\], 0\)")):
+        rows[3][5] = entry
+        with pytest.raises(ValueError, match=rf"^entry {shown} is not a sign \+/-1 and an index 0\.\.31$"):
+            CayleyTable(rows)
 
 
 def test_constructor_accepts_integral_floats_bools_and_json_pairs():

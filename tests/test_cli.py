@@ -10,6 +10,8 @@ import pytest
 
 import kaluza.cli
 from kaluza.cli import main
+from kaluza.fastmul import build_pipeline
+from kaluza.linops import fan_in_sum, lane, materialize, replicate_pairs
 from kaluza.number import KaluzaNumber
 
 
@@ -267,33 +269,57 @@ def test_dump_diagonal_of_one_starts_with_halves(capsys):
     assert lines[0].startswith("block 0: 0.5 0.5 0 ")
 
 
+def _dumped(out, header, rows):
+    """The token grid of the matrix that follows header in a dump."""
+    lines = out.splitlines()
+    start = lines.index(header) + 1
+    grid = [line.split() for line in lines[start : start + rows]]
+    assert len(grid) == rows
+    return grid
+
+
 def test_dump_factors_includes_a_symmetric_permutation_matrix(capsys):
     code, out, _ = run(capsys, "dump", "factors")
     assert code == 0
-    lines = out.splitlines()
-
-    def block(header, rows):
-        start = lines.index(header) + 1
-        grid = [line.split() for line in lines[start : start + rows]]
-        assert len(grid) == rows
-        return grid
-
-    grid = block("# permute 32x32", 32)
+    grid = _dumped(out, "# permute 32x32", 32)
     for r in range(32):
         assert sorted(grid[r]) == ["0"] * 31 + ["1"]
         for c in range(32):
             assert grid[r][c] == grid[c][r]
     # sixteen copies of H2 = [[1, 1], [1, -1]] on the diagonal
     h2 = [["1", "1"], ["1", "-1"]]
-    for r, row in enumerate(block("# hadamard-pairs 32x32", 32)):
+    for r, row in enumerate(_dumped(out, "# hadamard-pairs 32x32", 32)):
         assert row == [h2[r % 2][c % 2] if r // 2 == c // 2 else "0" for c in range(32)]
     # row 32k+m copies pair member 2k + m%2
-    for r, row in enumerate(block("# replicate 512x32", 512)):
+    for r, row in enumerate(_dumped(out, "# replicate 512x32", 512)):
         k, m = divmod(r, 32)
         assert row == ["1" if c == 2 * k + m % 2 else "0" for c in range(32)]
     # row m sums columns 32k+m
-    for m, row in enumerate(block("# fan-in 32x512", 32)):
+    for m, row in enumerate(_dumped(out, "# fan-in 32x512", 32)):
         assert row == ["1" if c % 32 == m else "0" for c in range(512)]
+
+
+def test_dumped_lanes_are_the_running_kernels_in_block_order(capsys):
+    # The kernels keep the 512 lanes lane-major; the dumps print them block
+    # by block, row (or column) 32k + m being lane(k, m).
+    blocks = [lane(k, m) for k in range(16) for m in range(32)]
+
+    def tokens(values):
+        return [f"{v:.17g}" for v in values]
+
+    _, out, _ = run(capsys, "dump", "factors")
+    replicate = materialize(replicate_pairs, 32)
+    assert _dumped(out, "# replicate 512x32", 512) == [tokens(replicate[i]) for i in blocks]
+    fan_in = materialize(fan_in_sum, 512)
+    assert _dumped(out, "# fan-in 32x512", 32) == [
+        tokens(row[i] for i in blocks) for row in fan_in
+    ]
+    _, out, _ = run(capsys, "dump", "diagonal", FROZEN_OPERAND)
+    diagonal = build_pipeline(KaluzaNumber.from_text(FROZEN_OPERAND)).diagonal
+    assert out.splitlines() == [
+        f"block {k}: " + " ".join(tokens(diagonal[lane(k, m)] for m in range(32)))
+        for k in range(16)
+    ]
 
 
 # -0.0, the smallest subnormal and a value whose square overflows, then 1..29

@@ -91,11 +91,14 @@ def test_each_stage_tally_is_its_operators_and_its_kernel_bump():
         "c_values": lambda c: fastmul.compute_c(ONE, c),
         "diagonal": lambda c: fastmul.derive_diagonal_spec().materialize((1.0,) * 32),
         "butterfly": lambda c: linops.hadamard_pairs([1.0] * 32, c),
-        "replicate": lambda c: linops.replicate_pairs([1.0] * 32),
         "diagonal_scale": lambda c: linops.block_diagonal_scale([1.0] * 512, [1.0] * 512, c),
         "fan_in": lambda c: linops.fan_in_sum([1.0] * 512, c),
     })
     assert tallies == {
-        "c_values": (0, 32), "diagonal": (0, 0), "butterfly": (0, 32), "replicate": (0, 0),
+        "c_values": (0, 32), "diagonal": (0, 0), "butterfly": (0, 32),
         "diagonal_scale": (512, 0), "fan_in": (0, 480),
     }
+    # Replication is a list repetition, not a generated stage: every lane is
+    # its input's own float object, so it computes nothing, (0, 0).
+    x = [float(i) for i in range(32)]
+    assert all(v is x[i % 32] for i, v in enumerate(linops.replicate_pairs(x)))

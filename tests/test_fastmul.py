@@ -7,6 +7,7 @@ import random
 import struct
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from kaluza.cayley import TABLE, VERBATIM_TABLE
 from kaluza.fastmul import (
     PAIRING_PERMUTATION,
     DiagonalSpec,
+    FactorizedPipeline,
     build_pipeline,
     coefficient_pairs,
     compare_printed_diagonal,
@@ -33,6 +35,7 @@ from kaluza.linops import (
     apply_permutation,
     block_diagonal_scale,
     hadamard_pairs,
+    lane,
     replicate_pairs,
 )
 from kaluza.number import (
@@ -157,11 +160,15 @@ def test_diagonal_spec_shape_and_sign_validation():
 
 
 def test_a_spec_the_generator_did_not_compile_refuses_to_materialize():
-    blocks = [list(b) for b in derive_diagonal_spec().blocks]
-    blocks[1][18], blocks[1][19] = (-1, 22), (-1, 23)  # the typeset rendering
-    spec = DiagonalSpec(blocks)  # constructing one is allowed
-    with pytest.raises(ValueError, match=r"regenerate it with python -m kaluza\.codegen$"):
-        spec.materialize((1.0,) * 32)
+    # the typeset rendering of block 1, then one odd slot alone, whose lane
+    # the guard reads apart from the even slots'
+    for cells in ({(1, 18): (-1, 22), (1, 19): (-1, 23)}, {(12, 29): (1, 11)}):
+        blocks = [list(b) for b in derive_diagonal_spec().blocks]
+        for (k, m), ref in cells.items():
+            blocks[k][m] = ref
+        spec = DiagonalSpec(blocks)  # constructing one is allowed
+        with pytest.raises(ValueError, match=r"regenerate it with python -m kaluza\.codegen$"):
+            spec.materialize((1.0,) * 32)
 
 
 def test_first_block_starts_with_plus_c0_plus_c1():
@@ -224,7 +231,40 @@ def test_materialized_diagonal_applies_signs_for_free():
             for m in range(32):
                 s, j = spec.blocks[k][m]
                 want = c[j] if s > 0 else -c[j]
-                assert struct.pack("<d", values[32 * k + m]) == struct.pack("<d", want)
+                assert struct.pack("<d", values[lane(k, m)]) == struct.pack("<d", want)
+
+
+class _Real(float):
+    """A float subclass: float() turns it into a plain float."""
+
+
+def test_every_engine_result_holds_32_plain_floats():
+    # mul_naive and mul_fast wrap their results without a float() pass, so
+    # the values must already be floats wherever they come from.
+    rng = random.Random(26)
+    specials = (0.0, -0.0, 5e-324, -5e-324, 1e-310, math.inf, -math.inf, math.nan)
+    operands = [
+        KaluzaNumber(range(-16, 16)),
+        KaluzaNumber([True, 3, _Real(2.5), Fraction(1, 3)] * 8),
+        KaluzaNumber([rng.uniform(-1.0, 1.0) for _ in range(32)]),
+        KaluzaNumber([specials[i % 8] for i in range(32)]),
+        KaluzaNumber([rng.choice(specials) for _ in range(32)]),
+    ]
+    for a in operands:
+        for b in operands:
+            for out in (
+                mul_naive(a, b), mul_dense(a, build_mul_matrix(b)), mul_fast(a, build_pipeline(b)),
+            ):
+                assert type(out.coeffs) is tuple and len(out.coeffs) == 32
+                assert {type(v) for v in out.coeffs} == {float}
+    # A hand-built pipeline's c-values take the same float() pass as an operand's.
+    for c in (range(32), [True, 3, _Real(2.5), Fraction(1, 3)] * 8):
+        p = FactorizedPipeline(c)
+        assert {type(v) for v in p.diagonal} == {float}
+        assert {type(v) for v in mul_fast(operands[2], p).coeffs} == {float}
+    for c in ([1j] * 32, ["c"] * 32, [1.0] * 31):
+        with pytest.raises((TypeError, ValueError)):
+            mul_fast(operands[2], FactorizedPipeline(c))
 
 
 def test_pipeline_for_one_is_the_identity():
@@ -367,7 +407,8 @@ def test_fast_is_bit_exact_where_half_integer_sums_reach_the_bound():
         a, b = KaluzaNumber(xs), KaluzaNumber(ys)
         p = build_pipeline(b)
         lanes = hadamard_pairs(apply_permutation(PAIRING_PERMUTATION, a.coeffs))
-        assert block_diagonal_scale(replicate_pairs(lanes), p.diagonal)[m::32] == [term] * 16
+        scaled = block_diagonal_scale(replicate_pairs(lanes), p.diagonal)
+        assert [scaled[lane(k, m)] for k in range(16)] == [term] * 16
         got, want = mul_fast(a, p).coeffs, mul_naive(a, b).coeffs
         assert struct.pack("<32d", *got) == struct.pack("<32d", *want), m
         assert list(got) == _exact_product(xs, ys), m
@@ -413,7 +454,8 @@ def test_preparation_copies_signs_and_halves_bit_for_bit_on_special_values(bs, c
         assert [_bits(v) for v in row] == [_bits(bs[j] if s > 0 else -bs[j]) for s, j in refs]
     spec = derive_diagonal_spec()
     want = [_bits(cs[j] if s > 0 else -cs[j]) for block in spec.blocks for s, j in block]
-    assert [_bits(v) for v in spec.materialize(tuple(cs))] == want
+    values = spec.materialize(tuple(cs))
+    assert [_bits(values[lane(k, m)]) for k in range(16) for m in range(32)] == want
     c = compute_c(b)
     for t, (u, v) in enumerate(coefficient_pairs()):
         halved = ((bs[u] + bs[v]) * 0.5, (bs[u] - bs[v]) * 0.5)

@@ -17,6 +17,7 @@ from kaluza.linops import (
     block_diagonal_scale,
     fan_in_sum,
     hadamard_pairs,
+    lane,
     materialize,
     replicate_pairs,
 )
@@ -109,18 +110,29 @@ def test_hadamard_pair_examples():
     assert c.as_tuple() == (0, 32)  # a rejected input counts nothing
 
 
+def _block(z, k):
+    """The 32 lanes of pair block k, in slot order."""
+    return [z[lane(k, m)] for m in range(32)]
+
+
+def test_lane_is_a_bijection_onto_the_512_lanes():
+    assert sorted(lane(k, m) for k in range(16) for m in range(32)) == list(range(512))
+    assert [lane(0, m) for m in range(4)] == [0, 1, 32, 33]
+    assert [lane(k, 0) for k in range(3)] == [0, 2, 4]
+
+
 def test_replicate_layout():
     x = [0.0] * 32
     x[0], x[1] = 1.0, 2.0
     z = replicate_pairs(x)
-    assert len(z) == 512
-    assert z[:32] == [1.0, 2.0] * 16
-    assert all(v == 0.0 for v in z[32:])
+    assert z == x * 16  # lane-major: lane 32r + i is x[i]
+    assert _block(z, 0) == [1.0, 2.0] * 16
+    assert all(v == 0.0 for k in range(1, 16) for v in _block(z, k))
     assert replicate_pairs([1.0] * 32) == [1.0] * 512
     e31 = [0.0] * 31 + [1.0]
     z = replicate_pairs(e31)
-    assert z[480:] == [0.0, 1.0] * 16
-    assert all(v == 0.0 for v in z[:480])
+    assert _block(z, 15) == [0.0, 1.0] * 16
+    assert all(v == 0.0 for k in range(15) for v in _block(z, k))
     for n in (3, 31, 33):  # replication takes exactly 32 entries
         with pytest.raises(ValueError):
             replicate_pairs([1.0] * n)
@@ -143,7 +155,8 @@ def test_diagonal_scale_examples():
 
 def test_fan_in_examples():
     x = [0.0] * 512
-    x[32:64] = [float(i) for i in range(32)]  # only block 1 nonzero
+    for m in range(32):  # only block 1 nonzero
+        x[lane(1, m)] = float(m)
     assert fan_in_sum(x) == [float(i) for i in range(32)]
     c = OpCount()
     assert fan_in_sum([1.0] * 512, c) == [16.0] * 32
@@ -158,17 +171,17 @@ def test_fan_in_adds_strictly_left_to_right():
     # (1e16 + 1.0) rounds back to 1e16, so only block order 0, 1, 2 gives
     # 0.0; a compensated sum would return 1.0
     x = [0.0] * 512
-    x[5], x[32 + 5], x[64 + 5] = 1e16, 1.0, -1e16
+    x[lane(0, 5)], x[lane(1, 5)], x[lane(2, 5)] = 1e16, 1.0, -1e16
     assert fan_in_sum(x)[5] == 0.0
 
 
 def _block_major_fan_in(x):
-    """The earlier block-by-block fan-in loop, kept as the reference."""
-    out = list(x[:32])
+    """The earlier block-by-block fan-in loop, kept as the reference; it
+    reads block k's slot m from its lane."""
+    out = _block(x, 0)
     for k in range(1, 16):
-        base = 32 * k
         for m in range(32):
-            out[m] += x[base + m]
+            out[m] += x[lane(k, m)]
     return out
 
 
@@ -185,8 +198,9 @@ def _fan_in_vectors():
     # an overflow that the later -1e308 cannot undo
     x = [1.0] * 512
     for k in range(16):
-        x[32 * k : 32 * k + 4] = [-0.0, 5e-324, 1.0, 1e308]
-    x[2], x[32 * 15 + 3] = 1e16, -1e308
+        for m, v in enumerate((-0.0, 5e-324, 1.0, 1e308)):
+            x[lane(k, m)] = v
+    x[lane(0, 2)], x[lane(15, 3)] = 1e16, -1e308
     yield x
     rng = random.Random(20261018)
     for trial in range(200):

@@ -7,11 +7,14 @@ wrapper that skips the float() pass.  Every output slot must equal the
 structure tensor exactly, which proves the engine bilinear and equal to
 the algebra's product for every input, with each rational coefficient
 (the factorized engine's 1/2 and the butterflies' doublings) exact.
+FactorizedPipeline passes its c-values through KaluzaNumber, so the
+wrapper keeps them symbolic too.
 
 The factorized engine is also checked stage by stage: each fixed stage
 equals the factor matrix that `kaluza dump factors` prints (test_cli
-freezes that output by its sha256), and each diagonal entry equals the
-eigenvalue of its 2x2 block of M(b).
+freezes that output by its sha256, with the 512 lanes in block order),
+and the diagonal entry in lane lane(k, m) equals the eigenvalue of its
+2x2 block of M(b).
 """
 
 from fractions import Fraction
@@ -27,6 +30,7 @@ from kaluza.linops import (
     apply_permutation,
     fan_in_sum,
     hadamard_pairs,
+    lane,
     materialize,
     replicate_pairs,
 )
@@ -95,7 +99,7 @@ def test_fast_engine_is_exactly_the_structure_tensor(symbolic, structure_tensor)
     ids=["permute", "hadamard-pairs", "replicate", "fan-in"],
 )
 def test_each_fixed_stage_is_exactly_its_factor_matrix(stage, n):
-    x = symbols("x", n)
+    x = list(symbols("x", n))
     m = materialize(stage, n)
     want = [Poly({}) for _ in m]
     for r, row in enumerate(m):
@@ -105,13 +109,14 @@ def test_each_fixed_stage_is_exactly_its_factor_matrix(stage, n):
     assert stage(x) == want
 
 
-def test_each_diagonal_entry_is_the_eigenvalue_of_its_block():
-    m = build_mul_matrix(Raw(B))
-    diagonal = build_pipeline(Raw(B)).diagonal
+def test_each_diagonal_entry_is_the_eigenvalue_of_its_block(symbolic):
+    _, b = symbolic
+    m = build_mul_matrix(b)
+    diagonal = build_pipeline(b).diagonal
     half = Fraction(1, 2)
     pairs = coefficient_pairs()
     for k, (uk, vk) in enumerate(pairs):
         for r, (ur, _) in enumerate(pairs):
             a, b = m[ur][uk], m[ur][vk]
-            assert diagonal[32 * k + 2 * r] == (a + b) * half, (r, k)
-            assert diagonal[32 * k + 2 * r + 1] == (a - b) * half, (r, k)
+            assert diagonal[lane(k, 2 * r)] == (a + b) * half, (r, k)
+            assert diagonal[lane(k, 2 * r + 1)] == (a - b) * half, (r, k)
