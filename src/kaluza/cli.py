@@ -27,6 +27,7 @@ from .fastmul import (
     mul_fast,
 )
 from .linops import (
+    OpCount,
     apply_permutation,
     fan_in_sum,
     hadamard_pairs,
@@ -232,15 +233,20 @@ def _cmd_bench(args) -> int:
     b_fixed = pairs[0][1]
     matrix = build_mul_matrix(b_fixed)
     pipe = build_pipeline(b_fixed)
+    # Each product takes an optional counter; one counted call gives its row's
+    # (muls, adds), then the same callable is timed without one.
     rows = [
-        ("naive", "direct", 1024, 992, mul_naive),
-        ("dense", "reuse", 1024, 992, lambda a, b: mul_dense(a, matrix)),
-        ("dense", "rebuild", 1024, 992, lambda a, b: mul_dense(a, build_mul_matrix(b))),
-        ("fast", "reuse", 512, 544, lambda a, b: mul_fast(a, pipe)),
-        ("fast", "rebuild", 512, 576, lambda a, b: mul_fast(a, build_pipeline(b))),
+        ("naive", "direct", mul_naive),
+        ("dense", "reuse", lambda a, b, c=None: mul_dense(a, matrix, c)),
+        ("dense", "rebuild", lambda a, b, c=None: mul_dense(a, build_mul_matrix(b), c)),
+        ("fast", "reuse", lambda a, b, c=None: mul_fast(a, pipe, c)),
+        ("fast", "rebuild", lambda a, b, c=None: mul_fast(a, build_pipeline(b, c), c)),
     ]
-    totals = []
+    counts, totals = [], []
     for *_, product in rows:
+        counter = OpCount()
+        product(*pairs[0], counter)
+        counts.append(counter.as_tuple())
         t0 = time.perf_counter_ns()
         for a, b in pairs:
             product(a, b)
@@ -253,7 +259,7 @@ def _cmd_bench(args) -> int:
         print(f"{'engine':<8}{'mode':<10}{'reps':>8}{'total_ns':>14}"
               f"{'mean_ns':>12}{'muls':>6}{'adds':>6}")
         line = "{:<8}{:<10}{:>8}{:>14}{:>12.1f}{:>6}{:>6}"
-    for (engine, mode, muls, adds, _), total in zip(rows, totals):
+    for (engine, mode, _), total, (muls, adds) in zip(rows, totals, counts):
         print(line.format(engine, mode, reps, total, total / reps, muls, adds))
     if args.format == "text":
         ratio = totals[0] / totals[3] if totals[3] else float("inf")  # naive / fast reuse
@@ -343,7 +349,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_unsigned_int, default=1)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("bench", help="time both engines over random products")
+    p = sub.add_parser(
+        "bench",
+        help="time and count naive, dense and fast products over random pairs; "
+        "dense and fast both reuse and rebuild the right operand",
+    )
     p.add_argument("--reps", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_unsigned_int, default=1)
     p.add_argument("--format", choices=("text", "csv"), default="text")

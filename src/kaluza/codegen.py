@@ -1,49 +1,114 @@
-"""Write the straight-line product modules from their shapes.
+"""Write the straight-line product modules from one description per engine.
 
     python -m kaluza.codegen
 
 regenerates ``_direct.py`` and ``_factorized.py`` next to this file.
 
-``_direct.py`` holds the direct product and M(b).  Output slot k of a * b
-is row k of M(b) applied to a: entry i of row k of symbolic_mul_matrix()
-is (s, j), where e_i * e_j = s*e_k, and contributes s * a_i * b_j.  The
-generated mul_direct returns one expression per slot, with its 32 terms
-in column order (i = 0..31), left-nested, so the matrix alone fixes the
-order of its additions: a negative entry becomes ``acc - a_i * b_j``,
-never a negation.  mul_matrix returns the same matrix over values: entry
-(s, j) is b_j, or n_j = -b_j, bound once per call.
+Every engine computes out = W((U a) * (V b)), the middle product entry by
+entry: its rank r is r real multiplications.  An Engine states U, V and W
+as Stages applied in order.  A Stage is a tuple of sparse rows of signed
+references (sign +/-1, input index) under one power-of-two scale, which
+is exact and not counted; a row of n references costs n - 1 additions.
+tests/test_brent.py proves each description by the Brent equations.
 
-``_factorized.py`` holds the preparation of a right operand and one
-function per arithmetic stage of the factorized chain, at its pipeline
-size: the c-values (32 -> 32, the sum and difference of each coefficient
-pair, halved), the diagonal (32 -> 512, a signed copy of one c-value per
-lane, as derive_diagonal_spec() resolves it), the pair butterfly
-(32 -> 32), the diagonal scale (512 x 512) and the fan-in (512 -> 32,
-each slot left-nested in block order).  The 512 lanes are lane-major
-(linops.lane), so replication is a list repetition and is not
-generated.  Every output entry is one expression, so the generator
-alone fixes the order of each function's floating-point operations.
+- direct_engine(), rank 1024: product 32k + i is a_i times entry (s, j)
+  of row k of symbolic_mul_matrix(), s * b_j; W sums row k's products in
+  column order.
+- factorized_engine(), rank 512: U is permute, butterfly, replicate; V is
+  the halved pair sums and differences of b (the c-values), then the
+  diagonal, one signed c-value per lane as derive_diagonal_spec()
+  resolves it; W is fan-in (block order), butterfly, permute.  The lanes
+  are lane-major (linops.lane), so replication is the list repetition
+  x * 16; it and the permutation run as linops code, not generated.
 
-Every function of both modules comes from one emitter, _stage, and each
-module from one assembler, _module, which writes the NAME_OPS tally of
-each function NAME: its (multiplications, additions), counted from the
-operators of its output expressions.  The c-values' halving is a
-power-of-two scale and is not counted.  Both modules are committed,
-because unmarshalling their bytecode is cheaper than compiling the
-source at import.
+mul_direct is the whole direct engine, each slot one left-nested sum of
+its products, and mul_matrix returns its M(b).  c_values, diagonal,
+butterfly (on both sides), diagonal_scale (the middle product) and
+fan_in are factorized stages.  A negative term after the first is
+subtracted, never negated; a negative first reference, in a copy the
+only one, reads n{j} = -x{j}, bound once per call.  Every output entry
+is one expression, so the description alone fixes the order of each
+function's floating-point operations.
+
+Every function comes from one emitter, _stage, and each module from one
+assembler, _module, which writes the NAME_OPS tally of each function
+NAME: its (multiplications, additions), taken from its stages and
+checked against the operators of its output expressions.  Both modules
+are committed, because unmarshalling their bytecode is cheaper than
+compiling the source at import.
 """
 
 from pathlib import Path
+from typing import NamedTuple
 
-from .fastmul import coefficient_pairs, derive_diagonal_spec
+from .fastmul import PAIRING_PERMUTATION, coefficient_pairs, derive_diagonal_spec
 from .linops import lane
 from .number import symbolic_mul_matrix
 
 HEADER = "# generated by python -m kaluza.codegen"
 TERMS_PER_LINE = 8
 NAMES_PER_LINE = 16
-# The c-values' halving: a power-of-two scale, exact and off the books.
-HALF = " * 0.5"
+
+
+class Stage(NamedTuple):
+    """A linear map: output i is scale * (sum of s * x{j} over (s, j) in rows[i])."""
+
+    rows: tuple
+    scale: float = 1.0
+
+
+class Engine(NamedTuple):
+    """out = W((U a) * (V b)) over rank products; U applies a_stages in
+    order, V b_stages and W out_stages."""
+
+    name: str
+    a_stages: tuple
+    b_stages: tuple
+    rank: int
+    out_stages: tuple
+
+
+def _copies(refs) -> Stage:
+    """The stage whose row i copies the signed reference refs[i]."""
+    return Stage(tuple((ref,) for ref in refs))
+
+
+def _adds(*stages: Stage) -> int:
+    return sum(len(row) - 1 for stage in stages for row in stage.rows)
+
+
+def direct_engine() -> Engine:
+    """The direct product, rank 1024: U picks a_i, V is M(b)'s signed b_j,
+    and W sums each row of M(b) in column order."""
+    refs = [ref for row in symbolic_mul_matrix() for ref in row]
+    return Engine(
+        "direct",
+        (_copies([(1, i) for i in range(32)] * 32),),
+        (_copies(refs),),
+        1024,
+        (Stage(tuple(tuple((1, 32 * k + i) for i in range(32)) for k in range(32))),),
+    )
+
+
+def factorized_engine() -> Engine:
+    """The paper's factorized product, rank 512, on lane-major lanes."""
+    diagonal = [None] * 512
+    for k, block in enumerate(derive_diagonal_spec().blocks):
+        for m, ref in enumerate(block):
+            diagonal[lane(k, m)] = ref
+    permute = _copies((1, j) for j in PAIRING_PERMUTATION.map)
+    butterfly = Stage(tuple(((1, k), (s, k + 1)) for k in range(0, 32, 2) for s in (1, -1)))
+    fan_in = Stage(tuple(tuple((1, lane(k, m)) for k in range(16)) for m in range(32)))
+    return Engine(
+        "factorized",
+        (permute, butterfly, _copies([(1, i) for i in range(32)] * 16)),
+        (
+            Stage(tuple(((1, u), (s, v)) for u, v in coefficient_pairs() for s in (1, -1)), 0.5),
+            _copies(diagonal),
+        ),
+        512,
+        (fan_in, butterfly, permute),
+    )
 
 
 def _lines(items: list[str], per_line: int) -> str:
@@ -65,30 +130,41 @@ def _unpack(prefix: str, n: int) -> str:
     return "    " + ", \\\n    ".join(rows) + f" = {prefix}\n"
 
 
-def _negations(prefix: str, refs) -> str:
-    """Bind n{j} = -prefix{j} once for each j that a (sign, j) in refs negates."""
-    negated = sorted({j for s, j in refs if s < 0})
-    return "".join(f"    n{j} = -{prefix}{j}\n" for j in negated)
+def _negations(prefix: str, negated: set) -> str:
+    """Bind n{j} = -prefix{j} once for each j in negated."""
+    return "".join(f"    n{j} = -{prefix}{j}\n" for j in sorted(negated))
 
 
-def _signed(prefix: str, refs) -> list[str]:
-    """The local that holds each signed reference: prefix{j} or n{j}."""
-    return [f"{prefix}{j}" if s > 0 else f"n{j}" for s, j in refs]
+def _name(ref, prefix: str, negated: set) -> str:
+    """The local that holds a signed reference: prefix{j}, or n{j} = -prefix{j}."""
+    s, j = ref
+    if s > 0:
+        return f"{prefix}{j}"
+    negated.add(j)
+    return f"n{j}"
+
+
+def _sum(head: str, rest, per_line: int = 0) -> str:
+    """head, then each (sign, term) of rest added or subtracted, left-nested;
+    with per_line, a line break after every per_line terms."""
+    words = [head, *(f"{'+' if s > 0 else '-'} {term}" for s, term in rest)]
+    n = per_line or len(words)
+    return "\n        ".join(" ".join(words[k:k + n]) for k in range(0, len(words), n))
 
 
 def _stage(
-    name: str, doc: str, sizes: dict[str, int], slots: list[str], per_line: int,
-    brackets: str = "[]", negations: str = "",
+    name: str, doc: str, sizes: dict[str, int], slots: list[str], tally: tuple[int, int],
+    per_line: int, brackets: str = "[]", negations: str = "",
 ):
     """A generated function, which unpacks each argument into named
-    locals, binds the negations, and returns its slots as a list or tuple;
-    and its (multiplications, additions) tally, counted from the operators
-    in its output slots, where the HALF scale is free."""
+    locals, binds the negations, and returns its slots as a list or
+    tuple; and its tally (multiplications, additions), which must be the
+    operators in its slots, where a scale after a closing parenthesis is
+    free."""
     text = " ".join(slots)
-    tally = (
-        text.count(" * ") - text.count(HALF),
-        text.count(" + ") + text.count(" - "),
-    )
+    counted = (text.count(" * ") - text.count(") * "), text.count(" + ") + text.count(" - "))
+    if counted != tally:
+        raise ValueError(f"{name}: its stages cost {tally}, its code {counted}")
     source = (
         f"def {name}({', '.join(sizes)}):\n"
         f'    """{doc}"""\n'
@@ -99,6 +175,70 @@ def _stage(
         + f"    {brackets[1]}\n"
     )
     return name, tally, source
+
+
+def _linear(name: str, doc: str, prefix: str, stage: Stage, per_line: int, brackets: str = "[]"):
+    """The function of one linear stage over prefix0, prefix1, ...: each row
+    one sum, a scale multiplying it in parentheses; it costs (0, the
+    stage's additions)."""
+    negated = set()
+    slots = []
+    for head, *rest in stage.rows:
+        expr = _sum(_name(head, prefix, negated), [(s, f"{prefix}{j}") for s, j in rest])
+        slots.append(expr if stage.scale == 1 else f"({expr}) * {stage.scale}")
+    width = 1 + max(j for row in stage.rows for _, j in row)
+    return _stage(
+        name, doc, {prefix: width}, slots, (0, _adds(stage)), per_line, brackets,
+        _negations(prefix, negated),
+    )
+
+
+def _middle(name: str, doc: str, rank: int):
+    """The function of an engine's middle product: entry r is x{r} * d{r}."""
+    return _stage(
+        name, doc, {"x": rank, "d": rank}, [f"x{r} * d{r}" for r in range(rank)], (rank, 0),
+        TERMS_PER_LINE,
+    )
+
+
+def _products(engine: Engine) -> list[list[tuple[int, int, int]]]:
+    """The products (s, i, j), s * a{i} * b{j}, that W sums into each output
+    slot, in W's order; U and V must copy one reference per product."""
+    (u,), (v,), (w,) = engine.a_stages, engine.b_stages, engine.out_stages
+    slots = []
+    for row in w.rows:
+        slots.append([])
+        for sw, r in row:
+            ((su, i),), ((sv, j),) = u.rows[r], v.rows[r]
+            slots[-1].append((sw * su * sv, i, j))
+    return slots
+
+
+def _whole(name: str, doc: str, engine: Engine):
+    """The function of a whole engine whose U and V copy: each slot is one
+    left-nested sum of its signed products; it costs (rank, W's additions)."""
+    negated = set()
+    slots = [
+        _sum(f"a{i} * {_name((s, j), 'b', negated)}", [(s, f"a{i} * b{j}") for s, i, j in rest],
+             TERMS_PER_LINE)
+        for (s, i, j), *rest in _products(engine)
+    ]
+    tally = (engine.rank, _adds(*engine.a_stages, *engine.b_stages, *engine.out_stages))
+    return _stage(name, doc, {"a": 32, "b": 32}, slots, tally, 1, "()", _negations("b", negated))
+
+
+def _matrix(name: str, doc: str, engine: Engine):
+    """The function that returns M(b) of an engine whose U and V copy: row k
+    holds the signed b{j} of slot k's products, in W's order."""
+    negated = set()
+    slots = [
+        f"({', '.join(_name((s, j), 'b', negated) for s, _, j in row)})"
+        for row in _products(engine)
+    ]
+    return _stage(
+        name, doc, {"b": 32}, slots, (0, _adds(*engine.b_stages)), 1, "()",
+        _negations("b", negated),
+    )
 
 
 def _module(doc: str, stages) -> str:
@@ -113,71 +253,55 @@ def _module(doc: str, stages) -> str:
 
 
 def direct_source() -> str:
-    """The text of ``_direct.py``."""
-    matrix = symbolic_mul_matrix()
-    slots = []
-    for row in matrix:
-        terms = [f"{'-' if s < 0 else '+'} a{i} * b{j}" for i, (s, j) in enumerate(row)]
-        terms[0] = terms[0].replace(" ", "", 1).lstrip("+")  # "+ x" -> "x", "- x" -> "-x"
-        slots.append("\n        ".join(
-            " ".join(terms[n:n + TERMS_PER_LINE]) for n in range(0, 32, TERMS_PER_LINE)
-        ))
+    """The text of ``_direct.py``: the direct engine whole, and its M(b)."""
+    engine = direct_engine()
     return _module(
         "Straight-line direct product and M(b).\n\n"
         "mul_direct is one left-nested sum per output slot; mul_matrix returns\n"
         "the 32 rows of M(b), each entry a signed copy of one b-coefficient.\n"
         "Each NAME_OPS constant is the (multiplications, additions) of NAME.\n",
         [
-            _stage(
-                "mul_direct", "Slot k is row k of M(b) applied to a, summed left to right.",
-                {"a": 32, "b": 32}, slots, 1, brackets="()",
+            _whole(
+                "mul_direct", "Slot k is row k of M(b) applied to a, summed left to right.", engine,
             ),
-            _stage(
+            _matrix(
                 "mul_matrix", "Row k of M(b): entry (s, j) is b{j} if s > 0, else n{j} = -b{j}.",
-                {"b": 32}, [f"({', '.join(_signed('b', row))})" for row in matrix], 1,
-                brackets="()", negations=_negations("b", (ref for row in matrix for ref in row)),
+                engine,
             ),
         ],
     )
 
 
 def factorized_source() -> str:
-    """The text of ``_factorized.py``."""
-    refs = [None] * 512
-    for k, block in enumerate(derive_diagonal_spec().blocks):
-        for m, ref in enumerate(block):
-            refs[lane(k, m)] = ref
-    stages = [
-        _stage(
-            "c_values", "Pair t = (u, v) gives (b{u} + b{v}) * 0.5, (b{u} - b{v}) * 0.5.",
-            {"b": 32},
-            [f"(b{u} {op} b{v}){HALF}" for u, v in coefficient_pairs() for op in "+-"], 4,
-            brackets="()",
-        ),
-        _stage(
-            "diagonal", "Lane lane(k, m) is +c{j} or -c{j} for (s, j) = blocks[k][m] of the spec.",
-            {"c": 32}, _signed("c", refs), NAMES_PER_LINE,
-            brackets="()", negations=_negations("c", refs),
-        ),
-        _stage(
-            "butterfly", "(x0, x1, ...) -> (x0 + x1, x0 - x1, ...).", {"x": 32},
-            [f"x{k} {op} x{k + 1}" for k in range(0, 32, 2) for op in "+-"], 4,
-        ),
-        _stage(
-            "diagonal_scale", "Entry i is x{i} * d{i}.", {"x": 512, "d": 512},
-            [f"x{i} * d{i}" for i in range(512)], TERMS_PER_LINE,
-        ),
-        _stage(
-            "fan_in", "Slot m is x{lane(0, m)} + ... + x{lane(15, m)}, in block order.",
-            {"x": 512}, [" + ".join(f"x{lane(k, m)}" for k in range(16)) for m in range(32)], 1,
-        ),
-    ]
+    """The text of ``_factorized.py``: the stages that run as generated code."""
+    engine = factorized_engine()
+    (_, butterfly, _), (c_values, diagonal), (fan_in, out_butterfly, _) = (
+        engine.a_stages, engine.b_stages, engine.out_stages
+    )
+    if out_butterfly != butterfly:
+        raise ValueError("hadamard_pairs runs one generated butterfly on both sides")
     return _module(
         "Straight-line operand preparation and stages of the factorized chain.\n\n"
         "c_values and diagonal prepare a right operand; the other functions are\n"
         "the chain's arithmetic stages, one function per stage.  Each NAME_OPS\n"
         "constant is the (multiplications, additions) of NAME.\n",
-        stages,
+        [
+            _linear(
+                "c_values", "Pair t = (u, v) gives (b{u} + b{v}) * 0.5, (b{u} - b{v}) * 0.5.",
+                "b", c_values, 4, "()",
+            ),
+            _linear(
+                "diagonal",
+                "Lane lane(k, m) is +c{j} or -c{j} for (s, j) = blocks[k][m] of the spec.",
+                "c", diagonal, NAMES_PER_LINE, "()",
+            ),
+            _linear("butterfly", "(x0, x1, ...) -> (x0 + x1, x0 - x1, ...).", "x", butterfly, 4),
+            _middle("diagonal_scale", "Entry i is x{i} * d{i}.", engine.rank),
+            _linear(
+                "fan_in", "Slot m is x{lane(0, m)} + ... + x{lane(15, m)}, in block order.",
+                "x", fan_in, 1,
+            ),
+        ],
     )
 
 

@@ -4,6 +4,8 @@ import ast
 import math
 from collections import Counter
 
+import pytest
+
 from kaluza import _direct, _factorized, codegen, fastmul, linops, number
 from kaluza.number import KaluzaNumber
 
@@ -102,3 +104,12 @@ def test_each_stage_tally_is_its_operators_and_its_kernel_bump():
     # its input's own float object, so it computes nothing, (0, 0).
     x = [float(i) for i in range(32)]
     assert all(v is x[i % 32] for i, v in enumerate(linops.replicate_pairs(x)))
+
+
+def test_the_emitter_refuses_a_tally_its_code_does_not_carry():
+    # A stage's tally comes from its description; the emitted operators must agree.
+    stage = codegen.Stage((((1, 0), (1, 1)), ((1, 0), (-1, 1))), 0.5)
+    name, tally, _ = codegen._linear("pairs", "", "x", stage, 2)
+    assert (name, tally) == ("pairs", (0, 2))
+    with pytest.raises(ValueError, match="pairs: its stages cost"):
+        codegen._stage("pairs", "", {"x": 2}, ["x0 + x1", "x0 * x1"], tally, 2)
