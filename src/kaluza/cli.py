@@ -19,6 +19,7 @@ import time
 
 from .cayley import QUADRANTS, TABLE, dump_table, validate_table
 from .fastmul import (
+    ENGINES,
     PAIRING_PERMUTATION,
     build_pipeline,
     compare_printed_diagonal,
@@ -39,7 +40,6 @@ from .number import (
     KaluzaNumber,
     build_mul_matrix,
     compare_printed_blocks,
-    mul_dense,
     mul_naive,
 )
 from .prng import Stream
@@ -78,10 +78,9 @@ def _cmd_multiply(args) -> int:
     a = _load_operand(args.left, "operand 1")
     b = _load_operand(args.right, "operand 2")
     results = []
-    if args.engine in ("naive", "both"):
-        results.append(mul_naive(a, b))
-    if args.engine in ("fast", "both"):
-        results.append(mul_fast(a, build_pipeline(b)))
+    for engine in ("naive", "fast") if args.engine == "both" else (args.engine,):
+        prepare, multiply = ENGINES[engine]
+        results.append(multiply(a, b if prepare is None else prepare(b)))
     for x in results:
         print(x.to_text())
     if len(results) == 2:
@@ -230,27 +229,27 @@ def _cmd_bench(args) -> int:
         (KaluzaNumber(stream.coeffs_real()), KaluzaNumber(stream.coeffs_real()))
         for _ in range(reps)
     ]
-    b_fixed = pairs[0][1]
-    matrix = build_mul_matrix(b_fixed)
-    pipe = build_pipeline(b_fixed)
-    # Each product takes an optional counter; one counted call gives its row's
+    # An engine that prepares its right operand has two rows: reuse, prepared
+    # once from the first pair, and rebuild, prepared per product.  Each
+    # product takes an optional counter; one counted call gives its row's
     # (muls, adds), then the same callable is timed without one.
-    rows = [
-        ("naive", "direct", mul_naive),
-        ("dense", "reuse", lambda a, b, c=None: mul_dense(a, matrix, c)),
-        ("dense", "rebuild", lambda a, b, c=None: mul_dense(a, build_mul_matrix(b), c)),
-        ("fast", "reuse", lambda a, b, c=None: mul_fast(a, pipe, c)),
-        ("fast", "rebuild", lambda a, b, c=None: mul_fast(a, build_pipeline(b, c), c)),
-    ]
-    counts, totals = [], []
-    for *_, product in rows:
-        counter = OpCount()
-        product(*pairs[0], counter)
-        counts.append(counter.as_tuple())
-        t0 = time.perf_counter_ns()
-        for a, b in pairs:
-            product(a, b)
-        totals.append(time.perf_counter_ns() - t0)
+    results = {}
+    for engine, (prepare, multiply) in ENGINES.items():
+        if prepare is None:
+            products = {"direct": multiply}
+        else:
+            pre = prepare(pairs[0][1])
+            products = {
+                "reuse": lambda a, b, c=None: multiply(a, pre, c),
+                "rebuild": lambda a, b, c=None: multiply(a, prepare(b, c), c),
+            }
+        for mode, product in products.items():
+            counter = OpCount()
+            product(*pairs[0], counter)
+            t0 = time.perf_counter_ns()
+            for a, b in pairs:
+                product(a, b)
+            results[engine, mode] = (time.perf_counter_ns() - t0, counter.as_tuple())
 
     if args.format == "csv":
         print("engine,mode,reps,total_ns,mean_ns,muls,adds")
@@ -259,10 +258,11 @@ def _cmd_bench(args) -> int:
         print(f"{'engine':<8}{'mode':<10}{'reps':>8}{'total_ns':>14}"
               f"{'mean_ns':>12}{'muls':>6}{'adds':>6}")
         line = "{:<8}{:<10}{:>8}{:>14}{:>12.1f}{:>6}{:>6}"
-    for (engine, mode, _), total, (muls, adds) in zip(rows, totals, counts):
+    for (engine, mode), (total, (muls, adds)) in results.items():
         print(line.format(engine, mode, reps, total, total / reps, muls, adds))
     if args.format == "text":
-        ratio = totals[0] / totals[3] if totals[3] else float("inf")  # naive / fast reuse
+        naive, fast = results["naive", "direct"][0], results["fast", "reuse"][0]
+        ratio = naive / fast if fast else float("inf")
         print(f"wall-clock naive/fast(reuse): {ratio:.2f}x (reported, not asserted)")
     return 0
 
@@ -351,8 +351,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="time and count naive, dense and fast products over random pairs; "
-        "dense and fast both reuse and rebuild the right operand",
+        help="time and count each engine's products over random pairs; an "
+        "engine that prepares its right operand both reuses and rebuilds it",
     )
     p.add_argument("--reps", type=_positive_int, default=1000)
     p.add_argument("--seed", type=_unsigned_int, default=1)

@@ -42,7 +42,8 @@ from .linops import (
     materialize,
     replicate_pairs,
 )
-from .number import KaluzaNumber, mul_naive, symbolic_mul_matrix, wrap_result
+from .number import (KaluzaNumber, build_mul_matrix, mul_dense, mul_naive,
+                     symbolic_mul_matrix, wrap_result)
 
 # Reorder that puts each paired coefficient next to its partner: slots
 # (2t, 2t+1) pick up the pair (map[2t], map[2t+1]).  It is an involution,
@@ -207,19 +208,25 @@ def mul_fast(a: KaluzaNumber, p: FactorizedPipeline, counter: OpCount | None = N
     return wrap_result(tuple(x))
 
 
+# Every engine by name: (prepare a right operand, or None to take it as it
+# is; multiply), each taking an optional OpCount last.  It sits here, in the
+# lowest module that sees all three engines.
+ENGINES = {
+    "naive": (None, mul_naive),
+    "dense": (build_mul_matrix, mul_dense),
+    "fast": (build_pipeline, mul_fast),
+}
+
+
 def count_operations(engine: str, include_preprocessing: bool = True) -> OpCount:
     """Run one instrumented product on fixed operands and return the tally."""
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {', '.join(ENGINES)}, got {engine!r}")
+    prepare, multiply = ENGINES[engine]
     a = KaluzaNumber(range(1, 33))
     b = KaluzaNumber(range(2, 34))
     counter = OpCount()
-    if engine == "naive":
-        mul_naive(a, b, counter)
-    elif engine == "fast":
-        pre = OpCount()
-        pipeline = build_pipeline(b, pre)
-        mul_fast(a, pipeline, counter)
-        if include_preprocessing:
-            counter.count(pre.multiplications, pre.additions)
-    else:
-        raise ValueError(f"engine must be 'naive' or 'fast', got {engine!r}")
+    if prepare is not None:
+        b = prepare(b, counter if include_preprocessing else None)
+    multiply(a, b, counter)
     return counter

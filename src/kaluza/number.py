@@ -127,14 +127,16 @@ def symbolic_mul_matrix(table: CayleyTable | None = None):
     return tuple(tuple(row) for row in grid)
 
 
-def build_mul_matrix(b: KaluzaNumber) -> tuple[tuple[float, ...], ...]:
+def build_mul_matrix(b: KaluzaNumber, counter: OpCount | None = None) -> tuple[tuple[float, ...], ...]:
     """The 32 rows of M(b), with mul(a, b) = M(b) applied to a.
 
     Every entry is a signed copy of one b-coefficient, never a sum: the
     straight-line _direct.mul_matrix, generated from symbolic_mul_matrix(),
-    negates each coefficient it needs once and lays out the rows.
-    KaluzaNumber has already validated those coefficients.
+    negates each coefficient it needs once and lays out the rows: no
+    arithmetic.  KaluzaNumber has already validated those coefficients.
     """
+    if counter is not None:
+        counter.count(*_direct.MUL_MATRIX_OPS)
     return _direct.mul_matrix(b.coeffs)
 
 
@@ -143,7 +145,7 @@ def mul_dense(a: KaluzaNumber, rows, counter: OpCount | None = None) -> KaluzaNu
 
     Each row is one left-nested sum r0*a0 + r1*a1 + ... + r31*a31.  A row
     that is not 32 entries long, or a matrix that is not 32 rows, raises
-    ValueError and counts nothing.
+    ValueError and counts nothing.  Its tally is mul_naive's (same shape).
     """
     (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15,
      a16, a17, a18, a19, a20, a21, a22, a23, a24, a25, a26, a27, a28, a29, a30, a31) = a.coeffs
@@ -158,7 +160,7 @@ def mul_dense(a: KaluzaNumber, rows, counter: OpCount | None = None) -> KaluzaNu
         in rows
     ])
     if counter is not None:
-        counter.count(mults=1024, adds=992)
+        counter.count(*_direct.MUL_DIRECT_OPS)
     return out
 
 

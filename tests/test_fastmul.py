@@ -234,6 +234,11 @@ def test_materialized_diagonal_applies_signs_for_free():
                 assert struct.pack("<d", values[lane(k, m)]) == struct.pack("<d", want)
 
 
+def _products(a, b):
+    """a * b by every registered engine, in registry order."""
+    return [m(a, b if p is None else p(b)) for p, m in fastmul.ENGINES.values()]
+
+
 class _Real(float):
     """A float subclass: float() turns it into a plain float."""
 
@@ -252,9 +257,7 @@ def test_every_engine_result_holds_32_plain_floats():
     ]
     for a in operands:
         for b in operands:
-            for out in (
-                mul_naive(a, b), mul_dense(a, build_mul_matrix(b)), mul_fast(a, build_pipeline(b)),
-            ):
+            for out in _products(a, b):
                 assert type(out.coeffs) is tuple and len(out.coeffs) == 32
                 assert {type(v) for v in out.coeffs} == {float}
     # A hand-built pipeline's c-values take the same float() pass as an operand's.
@@ -312,7 +315,9 @@ def test_count_operations_summary():
     assert count_operations("naive").as_tuple() == (1024, 992)
     assert count_operations("fast").as_tuple() == (512, 576)
     assert count_operations("fast", include_preprocessing=False).as_tuple() == (512, 544)
-    with pytest.raises(ValueError):
+    assert count_operations("dense").as_tuple() == (1024, 992)
+    assert count_operations("dense", include_preprocessing=False).as_tuple() == (1024, 992)
+    with pytest.raises(ValueError, match=f"one of {', '.join(fastmul.ENGINES)}, got 'vedic'"):
         count_operations("vedic")
 
 
@@ -614,14 +619,7 @@ def _nan_slots_per_pass(passes=3):
     pairs = list(_nan_bearing_operands())
     return [
         [
-            [
-                [k for k, v in enumerate(x.coeffs) if math.isnan(v)]
-                for x in (
-                    mul_naive(a, b),
-                    mul_dense(a, build_mul_matrix(b)),
-                    mul_fast(a, build_pipeline(b)),
-                )
-            ]
+            [[k for k, v in enumerate(x.coeffs) if math.isnan(v)] for x in _products(a, b)]
             for a, b in pairs
         ]
         for _ in range(passes)

@@ -12,9 +12,9 @@ and are compared through plain().
 
 import math
 
-from kaluza.fastmul import build_pipeline, mul_fast
+from kaluza.fastmul import ENGINES
 from kaluza.linops import OpCount
-from kaluza.number import KaluzaNumber, build_mul_matrix, mul_dense, mul_naive
+from kaluza.number import KaluzaNumber
 from kaluza.prng import Stream
 
 
@@ -100,6 +100,7 @@ def test_the_counting_scalar_charges_what_the_paper_charges():
 
 
 def test_naive_engine_executes_1024_multiplications_and_992_additions():
+    _, mul_naive = ENGINES["naive"]
     tally = OpCount()
     a, b = audited_operand(1, tally), audited_operand(2, tally)
     counter = OpCount()
@@ -109,10 +110,12 @@ def test_naive_engine_executes_1024_multiplications_and_992_additions():
 
 
 def test_dense_engine_executes_1024_multiplications_and_992_additions():
+    build_mul_matrix, mul_dense = ENGINES["dense"]
     tally = OpCount()
     a, b = audited_operand(1, tally), audited_operand(2, tally)
-    rows, executed = run_audited(tally, build_mul_matrix, b)
-    assert executed == (0, 0)  # signed copies only
+    pre = OpCount()
+    rows, executed = run_audited(tally, build_mul_matrix, b, pre)
+    assert executed == pre.as_tuple() == (0, 0)  # signed copies only
     counter = OpCount()
     out, executed = run_audited(tally, mul_dense, a, rows, counter)
     assert executed == counter.as_tuple() == (1024, 992)
@@ -120,6 +123,7 @@ def test_dense_engine_executes_1024_multiplications_and_992_additions():
 
 
 def test_fast_engine_executes_32_additions_to_prepare_and_512_544_per_product():
+    build_pipeline, mul_fast = ENGINES["fast"]
     tally = OpCount()
     a, b = audited_operand(1, tally), audited_operand(2, tally)
     pre = OpCount()
@@ -129,3 +133,8 @@ def test_fast_engine_executes_32_additions_to_prepare_and_512_544_per_product():
     out, executed = run_audited(tally, mul_fast, a, pipe, counter)
     assert executed == counter.as_tuple() == (512, 544)
     assert plain(out) == mul_fast(plain(a), build_pipeline(plain(b)))
+
+
+def test_every_registered_engine_has_an_execution_audit():
+    covered = {n[5:n.index("_engine_")] for n in globals() if "_engine_executes_" in n}
+    assert covered == set(ENGINES)
