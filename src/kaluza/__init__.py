@@ -2,9 +2,10 @@
 
 Products can be taken directly from the basis multiplication table (1024
 real multiplications, 992 additions) or through a factorized pipeline of
-permutations, pairwise butterflies, one 512-entry diagonal, and a fan-in
-sum (512 multiplications, 576 additions including the one-time pairing
-of the right operand).  Both engines are exactly instrumented.  The
+permutations, pairwise butterflies, a 512-lane diagonal scale by the 64
+signed c-values of the right operand, and a fan-in sum (512
+multiplications, 576 additions including the one-time pairing of the
+right operand).  Both engines are exactly instrumented.  The
 integer bounds within which they agree bit for bit are stated in
 README.md ("How the fast engine works").
 

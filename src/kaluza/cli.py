@@ -30,6 +30,7 @@ from .fastmul import (
 from .linops import (
     OpCount,
     apply_permutation,
+    block_diagonal_scale,
     fan_in_sum,
     hadamard_pairs,
     lane,
@@ -302,7 +303,9 @@ def _cmd_dump(args) -> int:
     if what == "mul-matrix":
         print(_fmt_matrix(build_mul_matrix(b)))
     else:  # diagonal
-        values = build_pipeline(b).diagonal
+        # The lanes the running kernel scales by; operands are finite, so
+        # each 1.0 * v is v bit for bit.
+        values = block_diagonal_scale([1.0] * 512, build_pipeline(b).signed_c)
         for k in range(16):
             row = (values[lane(k, m)] for m in range(32))
             print(f"block {k}: " + " ".join(f"{v:.17g}" for v in row))

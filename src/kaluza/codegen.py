@@ -22,9 +22,12 @@ tests/test_brent.py proves each description by the Brent equations.
   x * 16; it and the permutation run as linops code, not generated.
 
 mul_direct is the whole direct engine, each slot one left-nested sum of
-its products, and mul_matrix returns its M(b).  c_values, diagonal,
-butterfly (on both sides), diagonal_scale (the middle product) and
-fan_in are factorized stages.  A negative term after the first is
+its products, and mul_matrix returns its M(b).  c_values, butterfly (on
+both sides), diagonal_scale (the middle product) and fan_in are
+factorized stages.  V's diagonal is never built as 512 values: a right
+operand is prepared as its 64 signed c-values (c0..c31, -c0..-c31, from
+signed_c_values), and diagonal_scale has each lane's reference compiled
+in, multiplying x{r} by c{j} or n{j}.  A negative term after the first is
 subtracted, never negated; a negative first reference, in a copy the
 only one, reads n{j} = -x{j}, bound once per call.  Every output entry
 is one expression, so the description alone fixes the order of each
@@ -118,16 +121,19 @@ def _lines(items: list[str], per_line: int) -> str:
     )
 
 
-def _unpack(prefix: str, n: int) -> str:
-    """Bind prefix0..prefix{n-1} from the sequence named prefix.
+def _names(prefix: str, n: int) -> list[str]:
+    return [f"{prefix}{i}" for i in range(n)]
+
+
+def _unpack(arg: str, names: list[str]) -> str:
+    """Bind the locals names from the sequence named arg.
 
     The target list is continued with backslashes, not parenthesized: the
     parser backtracks over a parenthesized one, and compiling the module
     from source then takes about 1 MB more memory at its peak.
     """
-    names = [f"{prefix}{i}" for i in range(n)]
-    rows = (", ".join(names[k:k + NAMES_PER_LINE]) for k in range(0, n, NAMES_PER_LINE))
-    return "    " + ", \\\n    ".join(rows) + f" = {prefix}\n"
+    rows = (", ".join(names[k:k + NAMES_PER_LINE]) for k in range(0, len(names), NAMES_PER_LINE))
+    return "    " + ", \\\n    ".join(rows) + f" = {arg}\n"
 
 
 def _negations(prefix: str, negated: set) -> str:
@@ -153,10 +159,10 @@ def _sum(head: str, rest, per_line: int = 0) -> str:
 
 
 def _stage(
-    name: str, doc: str, sizes: dict[str, int], slots: list[str], tally: tuple[int, int],
+    name: str, doc: str, args: dict[str, list[str]], slots: list[str], tally: tuple[int, int],
     per_line: int, brackets: str = "[]", negations: str = "",
 ):
-    """A generated function, which unpacks each argument into named
+    """A generated function, which unpacks each argument into its named
     locals, binds the negations, and returns its slots as a list or
     tuple; and its tally (multiplications, additions), which must be the
     operators in its slots, where a scale after a closing parenthesis is
@@ -166,9 +172,9 @@ def _stage(
     if counted != tally:
         raise ValueError(f"{name}: its stages cost {tally}, its code {counted}")
     source = (
-        f"def {name}({', '.join(sizes)}):\n"
+        f"def {name}({', '.join(args)}):\n"
         f'    """{doc}"""\n'
-        + "".join(_unpack(arg, n) for arg, n in sizes.items())
+        + "".join(_unpack(arg, names) for arg, names in args.items())
         + negations
         + f"    return {brackets[0]}\n"
         + _lines(slots, per_line)
@@ -188,17 +194,25 @@ def _linear(name: str, doc: str, prefix: str, stage: Stage, per_line: int, brack
         slots.append(expr if stage.scale == 1 else f"({expr}) * {stage.scale}")
     width = 1 + max(j for row in stage.rows for _, j in row)
     return _stage(
-        name, doc, {prefix: width}, slots, (0, _adds(stage)), per_line, brackets,
+        name, doc, {prefix: _names(prefix, width)}, slots, (0, _adds(stage)), per_line, brackets,
         _negations(prefix, negated),
     )
 
 
-def _middle(name: str, doc: str, rank: int):
-    """The function of an engine's middle product: entry r is x{r} * d{r}."""
-    return _stage(
-        name, doc, {"x": rank, "d": rank}, [f"x{r} * d{r}" for r in range(rank)], (rank, 0),
-        TERMS_PER_LINE,
-    )
+def _signed(width: int) -> Stage:
+    """The stage that copies c0..c{width-1}, then each negated."""
+    return _copies([(s, j) for s in (1, -1) for j in range(width)])
+
+
+def _middle(name: str, doc: str, picks: Stage):
+    """The function of an engine's middle product, with V's last stage picks
+    (one signed reference per entry) compiled in: d is the output of
+    _signed, unpacked as c0, c1, ..., n0, n1, ... (n{j} = -c{j}), and
+    entry r is x{r} times the name of picks.rows[r]'s reference."""
+    rank, width = len(picks.rows), 1 + max(j for ((_, j),) in picks.rows)
+    slots = [f"x{r} * {'c' if s > 0 else 'n'}{j}" for r, ((s, j),) in enumerate(picks.rows)]
+    args = {"x": _names("x", rank), "d": _names("c", width) + _names("n", width)}
+    return _stage(name, doc, args, slots, (rank, 0), TERMS_PER_LINE)
 
 
 def _products(engine: Engine) -> list[list[tuple[int, int, int]]]:
@@ -224,7 +238,8 @@ def _whole(name: str, doc: str, engine: Engine):
         for (s, i, j), *rest in _products(engine)
     ]
     tally = (engine.rank, _adds(*engine.a_stages, *engine.b_stages, *engine.out_stages))
-    return _stage(name, doc, {"a": 32, "b": 32}, slots, tally, 1, "()", _negations("b", negated))
+    args = {"a": _names("a", 32), "b": _names("b", 32)}
+    return _stage(name, doc, args, slots, tally, 1, "()", _negations("b", negated))
 
 
 def _matrix(name: str, doc: str, engine: Engine):
@@ -236,7 +251,7 @@ def _matrix(name: str, doc: str, engine: Engine):
         for row in _products(engine)
     ]
     return _stage(
-        name, doc, {"b": 32}, slots, (0, _adds(*engine.b_stages)), 1, "()",
+        name, doc, {"b": _names("b", 32)}, slots, (0, _adds(*engine.b_stages)), 1, "()",
         _negations("b", negated),
     )
 
@@ -282,21 +297,25 @@ def factorized_source() -> str:
         raise ValueError("hadamard_pairs runs one generated butterfly on both sides")
     return _module(
         "Straight-line operand preparation and stages of the factorized chain.\n\n"
-        "c_values and diagonal prepare a right operand; the other functions are\n"
-        "the chain's arithmetic stages, one function per stage.  Each NAME_OPS\n"
-        "constant is the (multiplications, additions) of NAME.\n",
+        "c_values and signed_c_values prepare a right operand; the other\n"
+        "functions are the chain's arithmetic stages, one function per stage.\n"
+        "Each NAME_OPS constant is the (multiplications, additions) of NAME.\n",
         [
             _linear(
                 "c_values", "Pair t = (u, v) gives (b{u} + b{v}) * 0.5, (b{u} - b{v}) * 0.5.",
                 "b", c_values, 4, "()",
             ),
             _linear(
-                "diagonal",
-                "Lane lane(k, m) is +c{j} or -c{j} for (s, j) = blocks[k][m] of the spec.",
-                "c", diagonal, NAMES_PER_LINE, "()",
+                "signed_c_values", "(c0, ..., c31, -c0, ..., -c31), which diagonal_scale reads.",
+                "c", _signed(32), NAMES_PER_LINE, "()",
             ),
             _linear("butterfly", "(x0, x1, ...) -> (x0 + x1, x0 - x1, ...).", "x", butterfly, 4),
-            _middle("diagonal_scale", "Entry i is x{i} * d{i}.", engine.rank),
+            _middle(
+                "diagonal_scale",
+                "Lane lane(k, m) is its x times c{j} or n{j} = -c{j}, (s, j) = blocks[k][m] "
+                "of the spec.",
+                diagonal,
+            ),
             _linear(
                 "fan_in", "Slot m is x{lane(0, m)} + ... + x{lane(15, m)}, in block order.",
                 "x", fan_in, 1,

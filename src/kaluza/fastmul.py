@@ -15,15 +15,17 @@ carries the factor 1/2).  The direct method costs 1024 and 992.
 The 512 diagonal entries are not stored numerically by the derivation:
 each one is a signed reference into the 32-entry c-vector, resolved in
 closed form from the 2x2 blocks of the symbolic matrix over the sixteen
-coefficient pairs.  A separately transcribed rendering of those
+coefficient pairs, and python -m kaluza.codegen compiles them into the
+generated diagonal scale.  A separately transcribed rendering of those
 references is kept in fixtures and diffed against the derivation as a
 typo cross-check.
 
 mul_fast is the one description of the chain; the dense matrix of a
 pipeline, checked against the direct one, is built by running mul_fast
 itself.  A prepared right operand is plain data: compute_c returns the
-32 c-values as a tuple and FactorizedPipeline holds only the diagonal,
-in lane order (linops.lane).
+32 c-values as a tuple, and FactorizedPipeline holds only those values
+and their negations, 64 floats; the diagonal's 512 lanes (linops.lane)
+are never built as data.
 """
 
 from functools import cache
@@ -72,7 +74,7 @@ def compute_c(b: KaluzaNumber, counter: OpCount | None = None) -> tuple[float, .
     halving, a power-of-two scale that stays off the books.
     """
     if counter is not None:
-        counter.count(*_factorized.C_VALUES_OPS)
+        counter.count(*_factorized.C_VALUES_OPS, stage="prepare")
     return _factorized.c_values(b.coeffs)
 
 
@@ -82,18 +84,23 @@ class DiagonalSpec:
     Block k holds the diagonal entries that scale pair block k; slot m of
     block k is the eigenvalue s_m of the (row pair m//2, column pair k)
     bisymmetric block, and it scales lane lane(k, m).  Only the blocks
-    that the generated _factorized.diagonal resolves can be materialized.
+    that the generated _factorized.diagonal_scale resolves can be
+    materialized.
     """
 
     __slots__ = ("blocks", "_generated")
 
     def __init__(self, blocks):
         self.blocks = bl = signed_refs(blocks, 16, 32)
-        # Run on c_j = j + 1, the generated diagonal reads back as s * (j + 1)
-        # in the lane of each reference it was generated from; block k's slots
-        # of parity p sit in every 32nd lane from lane(k, p).  Compared, not
-        # enforced: the generator builds a spec while the module may be stale.
-        compiled = _factorized.diagonal(range(1, 33))
+        # Run on ones and the signed c_j = j + 1, the generated diagonal scale
+        # reads back as s * (j + 1) in the lane of each reference it was
+        # generated from; block k's slots of parity p sit in every 32nd lane
+        # from lane(k, p).  The stage returns a list, so it is compared as a
+        # tuple.  Compared, not enforced: the generator builds a spec while
+        # the module may be stale.
+        compiled = tuple(
+            _factorized.diagonal_scale((1,) * 512, _factorized.signed_c_values(range(1, 33)))
+        )
         want = tuple(s * (j + 1) for block in bl for s, j in block)
         self._generated = all(
             compiled[lane(k, p)::32] == want[32 * k + p:32 * k + 32:2]
@@ -101,19 +108,20 @@ class DiagonalSpec:
         )
 
     def materialize(self, c: tuple[float, ...]) -> tuple[float, ...]:
-        """Concrete 512-entry diagonal from the 32-tuple c, in lane order.
+        """The 64 signed c-values that the generated diagonal scale reads
+        from the 32-tuple c; linops.block_diagonal_scale picks each lane's.
 
         Sign application only, nothing counted.  Raises ValueError if
-        _factorized.diagonal was generated from other blocks.
+        _factorized.diagonal_scale was generated from other blocks.
         """
         if len(c) != 32:
             raise ValueError(f"expected 32 c-values, got {len(c)}")
         if not self._generated:
             raise ValueError(
-                "_factorized.diagonal was generated from other blocks; "
+                "_factorized.diagonal_scale was generated from other blocks; "
                 "regenerate it with python -m kaluza.codegen"
             )
-        return _factorized.diagonal(c)
+        return _factorized.signed_c_values(c)
 
 
 @cache
@@ -164,7 +172,8 @@ def compare_printed_diagonal():
 
 
 class FactorizedPipeline:
-    """The 512-entry diagonal of a fixed right operand, in lane order.
+    """The 64 signed c-values of a fixed right operand, which the diagonal
+    scale reads (DiagonalSpec.materialize).
 
     Immutable after construction; mul_fast applies it to as many left
     operands as desired at 512 multiplications and 544 additions each.
@@ -172,10 +181,10 @@ class FactorizedPipeline:
     KaluzaNumber's coefficients, so a pipeline holds only floats.
     """
 
-    __slots__ = ("diagonal",)
+    __slots__ = ("signed_c",)
 
     def __init__(self, c: tuple[float, ...]):
-        self.diagonal = derive_diagonal_spec().materialize(KaluzaNumber(c).coeffs)
+        self.signed_c = derive_diagonal_spec().materialize(KaluzaNumber(c).coeffs)
 
     def materialize(self) -> list[list[float]]:
         """Dense 32x32 matrix of mul_fast with this pipeline, built from unit
@@ -186,8 +195,8 @@ class FactorizedPipeline:
 def build_pipeline(b: KaluzaNumber, counter: OpCount | None = None) -> FactorizedPipeline:
     """Preprocess a right operand into a reusable pipeline.
 
-    Costs 32 additions (the c-vector); expanding the c-values onto the
-    512-entry diagonal applies signs only and is free.
+    Costs 32 additions (the c-vector); negating the c-values applies
+    signs only and is free.
     """
     return FactorizedPipeline(compute_c(b, counter))
 
@@ -201,7 +210,7 @@ def mul_fast(a: KaluzaNumber, p: FactorizedPipeline, counter: OpCount | None = N
     x = apply_permutation(PAIRING_PERMUTATION, a.coeffs)
     x = hadamard_pairs(x, counter)  # 32 additions
     x = replicate_pairs(x)
-    x = block_diagonal_scale(x, p.diagonal, counter)  # 512 multiplications
+    x = block_diagonal_scale(x, p.signed_c, counter)  # 512 multiplications
     x = fan_in_sum(x, counter)  # 480 additions
     x = hadamard_pairs(x, counter)  # 32 additions
     x = apply_permutation(PAIRING_PERMUTATION, x)

@@ -2,9 +2,10 @@
 
 Five kernels cover everything the factorized multiplication needs:
 permutation, pairwise Hadamard butterflies, replication, diagonal
-scaling, and fan-in summation.  Every kernel is branch-free and takes a
-fixed length, so its cost is a fixed number and counters are bumped by
-that exact amount.  The butterfly, the diagonal scale and the fan-in run
+scaling by the signed c-values, and fan-in summation.  Every kernel is
+branch-free and takes a fixed length, so its cost is a fixed number and
+counters are bumped by that exact amount, under the kernel's stage name
+(OpCount.stages).  The butterfly, the diagonal scale and the fan-in run
 the straight-line stages of ``_factorized.py``, written with their
 tallies by ``python -m kaluza.codegen``; a stage's tuple unpack rejects
 any other length, and a kernel counts only after its stage returns.
@@ -21,19 +22,30 @@ from . import _factorized
 
 
 class OpCount:
-    """Running tally of real multiplications and real additions."""
+    """Running tally of real multiplications and real additions.
 
-    __slots__ = ("multiplications", "additions")
+    A count made with a stage name is also added to stages[name], a
+    (multiplications, additions) pair.  The engines name four: "prepare"
+    (a right operand's preparation), "butterfly" (each side's pair
+    butterfly), "lanes" (the 512-lane diagonal scale and its fan-in) and
+    "direct" (a whole direct product).
+    """
+
+    __slots__ = ("multiplications", "additions", "stages")
 
     def __init__(self):
         self.multiplications = 0
         self.additions = 0
+        self.stages = {}
 
-    def count(self, mults: int = 0, adds: int = 0) -> None:
+    def count(self, mults: int = 0, adds: int = 0, stage: str | None = None) -> None:
         if mults < 0 or adds < 0:
             raise ValueError("operation tallies only grow")
         self.multiplications += mults
         self.additions += adds
+        if stage is not None:
+            m, a = self.stages.get(stage, (0, 0))
+            self.stages[stage] = (m + mults, a + adds)
 
     def as_tuple(self) -> tuple[int, int]:
         return (self.multiplications, self.additions)
@@ -75,7 +87,7 @@ def hadamard_pairs(x, counter: OpCount | None = None) -> list:
     """
     out = _factorized.butterfly(x)
     if counter is not None:
-        counter.count(*_factorized.BUTTERFLY_OPS)
+        counter.count(*_factorized.BUTTERFLY_OPS, stage="butterfly")
     return out
 
 
@@ -99,12 +111,18 @@ def replicate_pairs(x) -> list:
     return x * 16
 
 
-def block_diagonal_scale(x, diag, counter: OpCount | None = None) -> list:
-    """Componentwise product of two 512-vectors; one real multiplication
-    per entry, 512 in total."""
-    out = _factorized.diagonal_scale(x, diag)
+def block_diagonal_scale(x, signed_c, counter: OpCount | None = None) -> list:
+    """Scale the 512 lanes x by the diagonal: lane lane(k, m) times the
+    signed c-value that slot m of block k references.
+
+    signed_c is the 64 values a pipeline holds, (c0, ..., c31, -c0, ...,
+    -c31) (fastmul.DiagonalSpec.materialize); the lane-to-value map is
+    compiled into the generated stage.  One real multiplication per lane,
+    512 in total.
+    """
+    out = _factorized.diagonal_scale(x, signed_c)
     if counter is not None:
-        counter.count(*_factorized.DIAGONAL_SCALE_OPS)
+        counter.count(*_factorized.DIAGONAL_SCALE_OPS, stage="lanes")
     return out
 
 
@@ -117,7 +135,7 @@ def fan_in_sum(x, counter: OpCount | None = None) -> list:
     """
     out = _factorized.fan_in(x)
     if counter is not None:
-        counter.count(*_factorized.FAN_IN_OPS)
+        counter.count(*_factorized.FAN_IN_OPS, stage="lanes")
     return out
 
 

@@ -103,7 +103,7 @@ def mul_naive(a: KaluzaNumber, b: KaluzaNumber, counter: OpCount | None = None) 
     """
     out = _direct.mul_direct(a.coeffs, b.coeffs)
     if counter is not None:
-        counter.count(*_direct.MUL_DIRECT_OPS)
+        counter.count(*_direct.MUL_DIRECT_OPS, stage="direct")
     return wrap_result(out)
 
 
@@ -136,7 +136,7 @@ def build_mul_matrix(b: KaluzaNumber, counter: OpCount | None = None) -> tuple[t
     arithmetic.  KaluzaNumber has already validated those coefficients.
     """
     if counter is not None:
-        counter.count(*_direct.MUL_MATRIX_OPS)
+        counter.count(*_direct.MUL_MATRIX_OPS, stage="prepare")
     return _direct.mul_matrix(b.coeffs)
 
 
@@ -160,7 +160,7 @@ def mul_dense(a: KaluzaNumber, rows, counter: OpCount | None = None) -> KaluzaNu
         in rows
     ])
     if counter is not None:
-        counter.count(*_direct.MUL_DIRECT_OPS)
+        counter.count(*_direct.MUL_DIRECT_OPS, stage="direct")
     return out
 
 

@@ -11,7 +11,7 @@ import pytest
 import kaluza.cli
 from kaluza.cli import main
 from kaluza.fastmul import build_pipeline
-from kaluza.linops import fan_in_sum, lane, materialize, replicate_pairs
+from kaluza.linops import block_diagonal_scale, fan_in_sum, lane, materialize, replicate_pairs
 from kaluza.number import KaluzaNumber
 
 
@@ -315,7 +315,10 @@ def test_dumped_lanes_are_the_running_kernels_in_block_order(capsys):
         tokens(row[i] for i in blocks) for row in fan_in
     ]
     _, out, _ = run(capsys, "dump", "diagonal", FROZEN_OPERAND)
-    diagonal = build_pipeline(KaluzaNumber.from_text(FROZEN_OPERAND)).diagonal
+    # the lanes the diagonal scale multiplies by, read off on ones
+    diagonal = block_diagonal_scale(
+        [1.0] * 512, build_pipeline(KaluzaNumber.from_text(FROZEN_OPERAND)).signed_c
+    )
     assert out.splitlines() == [
         f"block {k}: " + " ".join(tokens(diagonal[lane(k, m)] for m in range(32)))
         for k in range(16)

@@ -53,7 +53,7 @@ def test_committed_module_is_what_the_generator_writes():
 def test_preparation_only_copies_and_halves():
     _, direct = _functions(codegen.DIRECT)
     _, factorized = _functions(codegen.FACTORIZED)
-    for node in (direct["mul_matrix"], factorized["diagonal"]):
+    for node in (direct["mul_matrix"], factorized["signed_c_values"]):
         assert not any(isinstance(n, (ast.BinOp, ast.Call)) for n in ast.walk(node)), node.name
     # each c-value is a sum or difference, then one free halving
     c_values = factorized["c_values"]
@@ -91,13 +91,13 @@ def test_counts_are_the_operators_of_the_committed_code():
 def test_each_stage_tally_is_its_operators_and_its_kernel_bump():
     tallies = _assert_tallies(codegen.FACTORIZED, _factorized, {
         "c_values": lambda c: fastmul.compute_c(ONE, c),
-        "diagonal": lambda c: fastmul.derive_diagonal_spec().materialize((1.0,) * 32),
+        "signed_c_values": lambda c: fastmul.derive_diagonal_spec().materialize((1.0,) * 32),
         "butterfly": lambda c: linops.hadamard_pairs([1.0] * 32, c),
-        "diagonal_scale": lambda c: linops.block_diagonal_scale([1.0] * 512, [1.0] * 512, c),
+        "diagonal_scale": lambda c: linops.block_diagonal_scale([1.0] * 512, [1.0] * 64, c),
         "fan_in": lambda c: linops.fan_in_sum([1.0] * 512, c),
     })
     assert tallies == {
-        "c_values": (0, 32), "diagonal": (0, 0), "butterfly": (0, 32),
+        "c_values": (0, 32), "signed_c_values": (0, 0), "butterfly": (0, 32),
         "diagonal_scale": (512, 0), "fan_in": (0, 480),
     }
     # Replication is a list repetition, not a generated stage: every lane is
@@ -112,4 +112,4 @@ def test_the_emitter_refuses_a_tally_its_code_does_not_carry():
     name, tally, _ = codegen._linear("pairs", "", "x", stage, 2)
     assert (name, tally) == ("pairs", (0, 2))
     with pytest.raises(ValueError, match="pairs: its stages cost"):
-        codegen._stage("pairs", "", {"x": 2}, ["x0 + x1", "x0 * x1"], tally, 2)
+        codegen._stage("pairs", "", {"x": ["x0", "x1"]}, ["x0 + x1", "x0 * x1"], tally, 2)

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import kaluza
 import kaluza.fastmul as fastmul
+from kaluza import _factorized
 from kaluza.cayley import TABLE, VERBATIM_TABLE
 from kaluza.fastmul import (
     PAIRING_PERMUTATION,
@@ -171,6 +172,23 @@ def test_a_spec_the_generator_did_not_compile_refuses_to_materialize():
             spec.materialize((1.0,) * 32)
 
 
+def test_a_stale_diagonal_scale_refuses_the_derived_spec(monkeypatch):
+    # The guard reads the generated diagonal_scale, which carries the lane
+    # map: one whose lanes 2 and 3 hold each other's c-value is stale.
+    assert DiagonalSpec(derive_diagonal_spec().blocks).materialize((1.0,) * 32)
+    generated = _factorized.diagonal_scale
+
+    def stale(x, d):
+        out = generated(x, d)
+        out[2], out[3] = out[3], out[2]
+        return out
+
+    monkeypatch.setattr(_factorized, "diagonal_scale", stale)
+    spec = DiagonalSpec(derive_diagonal_spec().blocks)
+    with pytest.raises(ValueError, match=r"^_factorized\.diagonal_scale was generated from other"):
+        spec.materialize((1.0,) * 32)
+
+
 def test_first_block_starts_with_plus_c0_plus_c1():
     spec = derive_diagonal_spec()
     assert spec.blocks[0][0] == (1, 0)
@@ -219,14 +237,17 @@ def test_diagonal_concordance_report_is_exactly_the_known_four():
 
 
 def test_materialized_diagonal_applies_signs_for_free():
+    # A pipeline holds 64 signed c-values; the diagonal scale, run on ones,
+    # reads each lane's back, and 1.0 * v is v bit for bit.
     spec = derive_diagonal_spec()
     specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan]
     for c in (
         compute_c(KaluzaNumber(range(1, 33))),
         tuple(specials + [float(i) for i in range(1, 27)]),
     ):
-        values = spec.materialize(c)
-        assert len(values) == 512
+        signed = spec.materialize(c)
+        assert len(signed) == 64
+        values = block_diagonal_scale([1.0] * 512, signed)
         for k in range(16):
             for m in range(32):
                 s, j = spec.blocks[k][m]
@@ -263,7 +284,7 @@ def test_every_engine_result_holds_32_plain_floats():
     # A hand-built pipeline's c-values take the same float() pass as an operand's.
     for c in (range(32), [True, 3, _Real(2.5), Fraction(1, 3)] * 8):
         p = FactorizedPipeline(c)
-        assert {type(v) for v in p.diagonal} == {float}
+        assert {type(v) for v in p.signed_c} == {float}
         assert {type(v) for v in mul_fast(operands[2], p).coeffs} == {float}
     for c in ([1j] * 32, ["c"] * 32, [1.0] * 31):
         with pytest.raises((TypeError, ValueError)):
@@ -319,6 +340,25 @@ def test_count_operations_summary():
     assert count_operations("dense", include_preprocessing=False).as_tuple() == (1024, 992)
     with pytest.raises(ValueError, match=f"one of {', '.join(fastmul.ENGINES)}, got 'vedic'"):
         count_operations("vedic")
+
+
+# Each engine's tally by stage: the butterfly runs on both sides, 0/32 each,
+# and the lanes are the diagonal scale (512/0) and the fan-in (0/480).
+STAGE_TALLIES = {
+    "naive": {"direct": (1024, 992)},
+    "dense": {"prepare": (0, 0), "direct": (1024, 992)},
+    "fast": {"prepare": (0, 32), "butterfly": (0, 64), "lanes": (512, 480)},
+}
+
+
+def test_count_operations_tallies_each_stage_and_the_stages_sum_to_the_total():
+    assert set(STAGE_TALLIES) == set(fastmul.ENGINES)
+    for engine, stages in STAGE_TALLIES.items():
+        counter = count_operations(engine)
+        assert counter.stages == stages, engine
+        assert tuple(map(sum, zip(*stages.values()))) == counter.as_tuple(), engine
+        product = count_operations(engine, include_preprocessing=False).stages
+        assert product == {k: v for k, v in stages.items() if k != "prepare"}, engine
 
 
 def test_materialized_pipeline_equals_the_direct_matrix_for_basis_operands():
@@ -412,7 +452,7 @@ def test_fast_is_bit_exact_where_half_integer_sums_reach_the_bound():
         a, b = KaluzaNumber(xs), KaluzaNumber(ys)
         p = build_pipeline(b)
         lanes = hadamard_pairs(apply_permutation(PAIRING_PERMUTATION, a.coeffs))
-        scaled = block_diagonal_scale(replicate_pairs(lanes), p.diagonal)
+        scaled = block_diagonal_scale(replicate_pairs(lanes), p.signed_c)
         assert [scaled[lane(k, m)] for k in range(16)] == [term] * 16
         got, want = mul_fast(a, p).coeffs, mul_naive(a, b).coeffs
         assert struct.pack("<32d", *got) == struct.pack("<32d", *want), m
@@ -459,7 +499,7 @@ def test_preparation_copies_signs_and_halves_bit_for_bit_on_special_values(bs, c
         assert [_bits(v) for v in row] == [_bits(bs[j] if s > 0 else -bs[j]) for s, j in refs]
     spec = derive_diagonal_spec()
     want = [_bits(cs[j] if s > 0 else -cs[j]) for block in spec.blocks for s, j in block]
-    values = spec.materialize(tuple(cs))
+    values = block_diagonal_scale([1.0] * 512, spec.materialize(tuple(cs)))
     assert [_bits(values[lane(k, m)]) for k in range(16) for m in range(32)] == want
     c = compute_c(b)
     for t, (u, v) in enumerate(coefficient_pairs()):

@@ -31,6 +31,16 @@ def test_opcount_accumulates_and_rejects_negatives():
     assert c.as_tuple() == (5, 5)
     with pytest.raises(ValueError):
         c.count(mults=-1)
+    # a count made with a stage name is also tallied under that name
+    assert c.stages == {}
+    c.count(1, 2, stage="lanes")
+    c.count(0, 3, stage="lanes")
+    c.count(adds=1, stage="prepare")
+    assert c.stages == {"lanes": (1, 5), "prepare": (0, 1)}
+    assert c.as_tuple() == (6, 11)
+    with pytest.raises(ValueError):
+        c.count(adds=-1, stage="lanes")
+    assert c.stages == {"lanes": (1, 5), "prepare": (0, 1)}
 
 
 def test_importing_kaluza_loads_neither_dataclasses_nor_inspect():
@@ -141,13 +151,15 @@ def test_replicate_layout():
 def test_diagonal_scale_examples():
     x = [float(i) for i in range(512)]
     c = OpCount()
-    assert block_diagonal_scale(x, [1.0] * 512, c) == x
+    assert block_diagonal_scale(x, [1.0] * 64, c) == x
     assert c.as_tuple() == (512, 0)
-    assert block_diagonal_scale(x, [0.0] * 512) == [0.0] * 512
-    alt = [1.0, -1.0] * 256
-    got = block_diagonal_scale(x, alt)
-    assert got[0:4] == [0.0, -1.0, 2.0, -3.0]
-    for n_x, n_d in ((512, 511), (511, 512), (511, 511)):  # 512 on both sides
+    assert block_diagonal_scale(x, [0.0] * 64) == [0.0] * 512
+    # the 64 signed c-values are (c0, ..., c31, -c0, ..., -c31); here c_j = j + 1
+    signed = [float(j + 1) for j in range(32)] + [-float(j + 1) for j in range(32)]
+    got = block_diagonal_scale(x, signed)
+    assert got[0:6] == [0.0, 1.0 * 2, 2.0 * 4, 3.0 * 3, 4.0 * -6, 5.0 * -5]
+    # 512 lanes and 64 values, so the old 512-entry diagonal is refused
+    for n_x, n_d in ((512, 63), (511, 64), (511, 63), (512, 512)):
         with pytest.raises(ValueError):
             block_diagonal_scale([1.0] * n_x, [1.0] * n_d, c)
     assert c.as_tuple() == (512, 0)  # a rejected input counts nothing
@@ -278,13 +290,13 @@ def _dense_apply(m, x):
 
 def test_every_stage_agrees_with_its_dense_materialization():
     rng = random.Random(20240901)
-    diag = [float(rng.randint(-9, 9)) for _ in range(512)]
+    signed_c = [float(rng.randint(-9, 9)) for _ in range(64)]
     perm = Permutation32(rng.sample(range(32), 32))
     stages = [
         ("permute", lambda x: apply_permutation(perm, x), 32),
         ("hadamard-pairs", hadamard_pairs, 32),
         ("replicate", replicate_pairs, 32),
-        ("diagonal", lambda x: block_diagonal_scale(x, diag), 512),
+        ("diagonal", lambda x: block_diagonal_scale(x, signed_c), 512),
         ("fan-in", fan_in_sum, 512),
     ]
     for kind, fn, n_in in stages:

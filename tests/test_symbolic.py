@@ -28,6 +28,7 @@ import kaluza.number
 from kaluza.fastmul import ENGINES, PAIRING_PERMUTATION, build_pipeline, coefficient_pairs
 from kaluza.linops import (
     apply_permutation,
+    block_diagonal_scale,
     fan_in_sum,
     hadamard_pairs,
     lane,
@@ -120,7 +121,8 @@ def test_each_fixed_stage_is_exactly_its_factor_matrix(stage, n):
 def test_each_diagonal_entry_is_the_eigenvalue_of_its_block(symbolic):
     _, b = symbolic
     m = build_mul_matrix(b)
-    diagonal = build_pipeline(b).diagonal
+    # the lanes the diagonal scale multiplies by, read off on ones
+    diagonal = block_diagonal_scale([1] * 512, build_pipeline(b).signed_c)
     half = Fraction(1, 2)
     pairs = coefficient_pairs()
     for k, (uk, vk) in enumerate(pairs):
