@@ -28,7 +28,6 @@ from .fastmul import (
     mul_fast,
 )
 from .linops import (
-    OpCount,
     apply_permutation,
     block_diagonal_scale,
     fan_in_sum,
@@ -231,9 +230,9 @@ def _cmd_bench(args) -> int:
         for _ in range(reps)
     ]
     # An engine that prepares its right operand has two rows: reuse, prepared
-    # once from the first pair, and rebuild, prepared per product.  Each
-    # product takes an optional counter; one counted call gives its row's
-    # (muls, adds), then the same callable is timed without one.
+    # once from the first pair, and rebuild, prepared per product, whose
+    # (muls, adds) count the preparation too.  The counts come from
+    # count_operations, before the timed loop.
     results = {}
     for engine, (prepare, multiply) in ENGINES.items():
         if prepare is None:
@@ -241,16 +240,15 @@ def _cmd_bench(args) -> int:
         else:
             pre = prepare(pairs[0][1])
             products = {
-                "reuse": lambda a, b, c=None: multiply(a, pre, c),
-                "rebuild": lambda a, b, c=None: multiply(a, prepare(b, c), c),
+                "reuse": lambda a, b: multiply(a, pre),
+                "rebuild": lambda a, b: multiply(a, prepare(b)),
             }
         for mode, product in products.items():
-            counter = OpCount()
-            product(*pairs[0], counter)
+            counts = count_operations(engine, include_preprocessing=mode == "rebuild").as_tuple()
             t0 = time.perf_counter_ns()
             for a, b in pairs:
                 product(a, b)
-            results[engine, mode] = (time.perf_counter_ns() - t0, counter.as_tuple())
+            results[engine, mode] = (time.perf_counter_ns() - t0, counts)
 
     if args.format == "csv":
         print("engine,mode,reps,total_ns,mean_ns,muls,adds")

@@ -91,18 +91,24 @@ class DiagonalSpec:
     __slots__ = ("blocks", "_generated")
 
     def __init__(self, blocks):
-        self.blocks = bl = signed_refs(blocks, 16, 32)
+        self.blocks = signed_refs(blocks, 16, 32)
+        self._generated = None  # whether the generated module has these blocks; see materialize
+
+    def _generated_from_blocks(self) -> bool:
         # Run on ones and the signed c_j = j + 1, the generated diagonal scale
         # reads back as s * (j + 1) in the lane of each reference it was
         # generated from; block k's slots of parity p sit in every 32nd lane
         # from lane(k, p).  The stage returns a list, so it is compared as a
-        # tuple.  Compared, not enforced: the generator builds a spec while
-        # the module may be stale.
-        compiled = tuple(
-            _factorized.diagonal_scale((1,) * 512, _factorized.signed_c_values(range(1, 33)))
-        )
-        want = tuple(s * (j + 1) for block in bl for s, j in block)
-        self._generated = all(
+        # tuple.  A module that cannot run on these inputs is stale too: one
+        # with another argument list raises TypeError, another length ValueError.
+        try:
+            compiled = tuple(
+                _factorized.diagonal_scale((1,) * 512, _factorized.signed_c_values(range(1, 33)))
+            )
+        except (TypeError, ValueError):
+            return False
+        want = tuple(s * (j + 1) for block in self.blocks for s, j in block)
+        return all(
             compiled[lane(k, p)::32] == want[32 * k + p:32 * k + 32:2]
             for k in range(16) for p in (0, 1)
         )
@@ -112,10 +118,14 @@ class DiagonalSpec:
         from the 32-tuple c; linops.block_diagonal_scale picks each lane's.
 
         Sign application only, nothing counted.  Raises ValueError if
-        _factorized.diagonal_scale was generated from other blocks.
+        _factorized.diagonal_scale was generated from other blocks, which
+        the first call checks: the generator builds a spec while the module
+        may be stale, so building one runs no generated code.
         """
         if len(c) != 32:
             raise ValueError(f"expected 32 c-values, got {len(c)}")
+        if self._generated is None:
+            self._generated = self._generated_from_blocks()
         if not self._generated:
             raise ValueError(
                 "_factorized.diagonal_scale was generated from other blocks; "

@@ -69,16 +69,16 @@ def test_each_engine_description_satisfies_the_brent_equations(name):
 
 
 def _flip_one_v_sign(engine, lane=300):
-    c_values, diagonal = engine.b_stages
-    ((s, j),) = diagonal.rows[lane]
-    rows = diagonal.rows[:lane] + (((-s, j),),) + diagonal.rows[lane + 1:]
-    return engine._replace(b_stages=(c_values, diagonal._replace(rows=rows)))
+    *b_stages, picks = engine.b_stages
+    ((s, j),) = picks.rows[lane]
+    rows = picks.rows[:lane] + (((-s, j),),) + picks.rows[lane + 1:]
+    return engine._replace(b_stages=(*b_stages, picks._replace(rows=rows)))
 
 
 def _drop_one_lane(engine, lane=37):
     """The engine at rank 511, without the product in that lane."""
     *a_stages, replicate = engine.a_stages
-    c_values, diagonal = engine.b_stages
+    *b_stages, picks = engine.b_stages
     fan_in, *out_stages = engine.out_stages
 
     def without(stage):
@@ -88,16 +88,32 @@ def _drop_one_lane(engine, lane=37):
         tuple((s, r - (r > lane)) for s, r in row if r != lane) for row in fan_in.rows
     ))
     return engine._replace(
-        a_stages=(*a_stages, without(replicate)), b_stages=(c_values, without(diagonal)),
+        a_stages=(*a_stages, without(replicate)), b_stages=(*b_stages, without(picks)),
         rank=engine.rank - 1, out_stages=(fan_in, *out_stages),
     )
 
 
-@pytest.mark.parametrize("mutate", [_flip_one_v_sign, _drop_one_lane])
+def _copy_plus_c_into_n_slot(engine, j=5):
+    """The signed copy with +c{j} where -c{j} belongs, in entry 32 + j."""
+    c_values, signed, picks = engine.b_stages
+    assert signed.rows[32 + j] == ((-1, j),)
+    rows = signed.rows[:32 + j] + (((1, j),),) + signed.rows[33 + j:]
+    return engine._replace(b_stages=(c_values, signed._replace(rows=rows), picks))
+
+
+@pytest.mark.parametrize("mutate", [_flip_one_v_sign, _drop_one_lane, _copy_plus_c_into_n_slot])
 def test_a_broken_description_fails_the_brent_equations(mutate):
     broken = mutate(ENGINES["factorized"])
     assert broken != ENGINES["factorized"]
     assert _brent_mismatches(broken)
+
+
+def test_the_factorized_v_is_three_stages_as_they_run():
+    # the c-values, the 64 signed c-values, one positive pick of those per lane
+    c_values, signed, picks = ENGINES["factorized"].b_stages
+    assert (len(c_values.rows), len(signed.rows), len(picks.rows)) == (32, 64, 512)
+    assert signed.rows == tuple(((s, j),) for s in (1, -1) for j in range(32))
+    assert all(s == 1 and 0 <= i < 64 for ((s, i),) in picks.rows)
 
 
 def test_the_direct_v_is_what_mul_matrix_returns():

@@ -111,5 +111,26 @@ def test_the_emitter_refuses_a_tally_its_code_does_not_carry():
     stage = codegen.Stage((((1, 0), (1, 1)), ((1, 0), (-1, 1))), 0.5)
     name, tally, _ = codegen._linear("pairs", "", "x", stage, 2)
     assert (name, tally) == ("pairs", (0, 2))
-    with pytest.raises(ValueError, match="pairs: its stages cost"):
-        codegen._stage("pairs", "", {"x": ["x0", "x1"]}, ["x0 + x1", "x0 * x1"], tally, 2)
+    slots = [[(1, ("x0",)), (1, ("x1",))], [(1, ("x0", "x1"))]]  # x0 + x1, x0 * x1
+    with pytest.raises(ValueError, match=r"pairs: its stages cost \(0, 2\), its code \(1, 1\)"):
+        codegen._function("pairs", "", {"x": ["x0", "x1"]}, slots, tally, 2)
+
+
+@pytest.fixture
+def one_argument_diagonal_scale(monkeypatch):
+    """A stale _factorized.diagonal_scale that takes one argument, and no
+    spec derived before it, none kept after."""
+    monkeypatch.setattr(_factorized, "diagonal_scale", lambda x: x)
+    fastmul.derive_diagonal_spec.cache_clear()
+    yield
+    fastmul.derive_diagonal_spec.cache_clear()
+
+
+def test_the_generator_writes_over_a_module_that_cannot_run(one_argument_diagonal_scale):
+    # deriving the spec runs no generated code, so regenerating still works
+    assert codegen.factorized_source() == codegen.FACTORIZED.read_text()
+
+
+def test_a_module_that_cannot_run_is_stale(one_argument_diagonal_scale):
+    with pytest.raises(ValueError, match=r"regenerate it with python -m kaluza\.codegen$"):
+        fastmul.derive_diagonal_spec().materialize((1.0,) * 32)
