@@ -5,7 +5,8 @@ real multiplications, 992 additions) or through a factorized pipeline of
 permutations, pairwise butterflies, a 512-lane diagonal scale by the 64
 signed c-values of the right operand, and a fan-in sum (512
 multiplications, 576 additions including the one-time pairing of the
-right operand).  Both engines are exactly instrumented.  The
+right operand, which build_pipeline does in one generated pass from the
+operand's coefficients).  Both engines are exactly instrumented.  The
 integer bounds within which they agree bit for bit are stated in
 README.md ("How the fast engine works").
 

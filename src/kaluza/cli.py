@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 Every subcommand is deterministic given its arguments and seed; `verify`
 in particular emits a byte-identical report for a fixed seed, so its
-output can be diffed across runs and machines.
+output can be diffed across runs and machines.  A seed is an integer in
+0..2**63 - 1, the range in which kaluza.prng.Stream gives each its own
+stream; any other is a usage error.
 
 Operands are given either as a path to a file or inline as a quoted
 string; both hold 32 whitespace-separated decimals, with '#' starting a
@@ -42,7 +44,7 @@ from .number import (
     compare_printed_blocks,
     mul_naive,
 )
-from .prng import Stream
+from .prng import SEED_LIMIT, Stream
 
 
 class _InputError(Exception):
@@ -317,10 +319,10 @@ def _positive_int(text: str) -> int:
     return v
 
 
-def _unsigned_int(text: str) -> int:
+def _seed(text: str) -> int:
     v = int(text)
-    if v < 0:
-        raise argparse.ArgumentTypeError("must be a nonnegative integer")
+    if not 0 <= v < SEED_LIMIT:
+        raise argparse.ArgumentTypeError("must be an integer in 0..2**63 - 1")
     return v
 
 
@@ -347,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full invariant suite")
     p.add_argument("--trials", type=_positive_int, default=10000,
                    help="random products per equivalence section")
-    p.add_argument("--seed", type=_unsigned_int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser(
@@ -356,7 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "engine that prepares its right operand both reuses and rebuilds it",
     )
     p.add_argument("--reps", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=_unsigned_int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
     p.add_argument("--format", choices=("text", "csv"), default="text")
     p.set_defaults(func=_cmd_bench)
 

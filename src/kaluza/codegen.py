@@ -27,7 +27,10 @@ Every generated function comes from one emitter, _function, which takes
 each argument's locals and each output slot as a list of signed terms,
 and each module from one assembler, _module.  mul_direct is the whole
 direct engine, each slot one left-nested sum of its products, and
-mul_matrix returns its V as the rows of M(b).  c_values, signed_c_values,
+mul_matrix returns its V as the rows of M(b).  signed_c_values is V's
+first two stages in one pass: it binds each c-value once, as the local
+c{j} (the emitter's let), and returns those and n{j} = -c{j}, so the
+negations cost nothing and the pass costs the c-values' 32 additions.
 butterfly (on both sides) and fan_in are one factorized stage each, and
 diagonal_scale is the middle product: lane r is x{r} times its pick, the
 local c{j} or n{j} that holds it.  A negative term after the first is
@@ -124,6 +127,7 @@ def _names(prefix: str, n: int) -> list[str]:
 def _function(
     name: str, doc: str, args: dict[str, list[str]], slots: list[list], tally: tuple[int, int],
     per_line: int, brackets: str = "[]", scale: float = 1.0, wrap: int = 0, rows: bool = False,
+    let: tuple[str, list[list], float] | None = None,
 ):
     """A generated function, and its tally (multiplications, additions).
 
@@ -131,8 +135,11 @@ def _function(
     list of signed terms (s, factors), s times the product of the factor
     locals, written as one left-nested sum (with wrap, a line break after
     every wrap terms), times scale in parentheses unless that is 1; with
-    rows, as a tuple display of its terms.  A negative first term, and in
-    a row every negative term, reads its last factor p{j} as n{j} and binds
+    rows, as a tuple display of its terms.  With let = (prefix, sums,
+    let_scale), the local prefix{i} is bound to sums[i], written as a
+    slot is but times let_scale, before anything reads it; each sum starts
+    with a positive term.  A negative first term, and in a row every
+    negative term, reads its last factor p{j} as n{j} and binds
     n{j} = -p{j} once; a negative term after the first is subtracted.  The
     slots make one list or tuple display, per_line to a line.  The tally
     must be the operators written, where a scale after a closing
@@ -153,16 +160,20 @@ def _function(
             last = f"n{last[1:]}"
         return " * ".join((*rest, last))
 
-    exprs = []
-    for slot in slots:
-        if rows:
-            exprs.append(f"({', '.join(first(*term) for term in slot)})")
-            continue
+    def expr(slot, scale):
         (s, factors), *rest = slot
         words = [first(s, factors), *(f"{'+' if s > 0 else '-'} {' * '.join(f)}" for s, f in rest)]
-        expr = "\n        ".join(" ".join(line) for line in chunks(words, wrap or len(words)))
-        exprs.append(expr if scale == 1 else f"({expr}) * {scale}")
-    text = " ".join(exprs)
+        body = "\n        ".join(" ".join(line) for line in chunks(words, wrap or len(words)))
+        return body if scale == 1 else f"({body}) * {scale}"
+
+    bound = [] if let is None else [
+        f"{let[0]}{i} = {expr(slot, let[2])}" for i, slot in enumerate(let[1])
+    ]
+    exprs = [
+        f"({', '.join(first(*term) for term in slot)})" if rows else expr(slot, scale)
+        for slot in slots
+    ]
+    text = " ".join(bound + exprs)
     counted = (text.count(" * ") - text.count(") * "), text.count(" + ") + text.count(" - "))
     if counted != tally:
         raise ValueError(f"{name}: its stages cost {tally}, its code {counted}")
@@ -170,6 +181,7 @@ def _function(
     for arg, names in args.items():
         targets = (", ".join(line) for line in chunks(names, NAMES_PER_LINE))
         lines.append("    " + ", \\\n    ".join(targets) + f" = {arg}")
+    lines += [f"    {line}" for line in bound]
     lines += [f"    n{j} = -{local}" for j, local in sorted(negated.items())]
     lines.append(f"    return {brackets[0]}")
     lines += [f"        {', '.join(line)}," for line in chunks(exprs, per_line)]
@@ -238,20 +250,20 @@ def factorized_source() -> str:
         raise ValueError("hadamard_pairs runs one generated butterfly on both sides")
     # the locals that hold signed_c_values' output: c{j} and n{j} = -c{j}
     d = [f"{'c' if s > 0 else 'n'}{j}" for ((s, j),) in signed.rows]
-    x = _names("x", engine.rank)
+    b, c, x = _names("b", 32), _names("c", 32), _names("x", engine.rank)
     return _module(
         "Straight-line operand preparation and stages of the factorized chain.\n\n"
-        "c_values and signed_c_values prepare a right operand; the other\n"
+        "signed_c_values prepares a right operand in one pass; the other\n"
         "functions are the chain's arithmetic stages, one function per stage.\n"
         "Each NAME_OPS constant is the (multiplications, additions) of NAME.\n",
         [
-            _linear(
-                "c_values", "Pair t = (u, v) gives (b{u} + b{v}) * 0.5, (b{u} - b{v}) * 0.5.",
-                "b", c_values, 4, "()",
-            ),
-            _linear(
-                "signed_c_values", "(c0, ..., c31, -c0, ..., -c31), which diagonal_scale reads.",
-                "c", signed, NAMES_PER_LINE, "()",
+            _function(
+                "signed_c_values",
+                "(c0, ..., c31, -c0, ..., -c31), which diagonal_scale reads; pair t = (u, v)\n"
+                "    gives c{2t} = (b{u} + b{v}) * 0.5 and c{2t+1} = (b{u} - b{v}) * 0.5.",
+                {"b": b}, [[(s, (c[j],))] for ((s, j),) in signed.rows],
+                (0, _adds(c_values, signed)), NAMES_PER_LINE, "()",
+                let=("c", [[(s, (b[j],)) for s, j in row] for row in c_values.rows], c_values.scale),
             ),
             _linear("butterfly", "(x0, x1, ...) -> (x0 + x1, x0 - x1, ...).", "x", butterfly, 4),
             _function(

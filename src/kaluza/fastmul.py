@@ -22,10 +22,10 @@ typo cross-check.
 
 mul_fast is the one description of the chain; the dense matrix of a
 pipeline, checked against the direct one, is built by running mul_fast
-itself.  A prepared right operand is plain data: compute_c returns the
-32 c-values as a tuple, and FactorizedPipeline holds only those values
-and their negations, 64 floats; the diagonal's 512 lanes (linops.lane)
-are never built as data.
+itself.  A prepared right operand is plain data: compute_c turns the
+right operand's coefficients into the 32 c-values and their negations in
+one generated pass, and FactorizedPipeline holds only those 64 floats;
+the diagonal's 512 lanes (linops.lane) are never built as data.
 """
 
 from functools import cache
@@ -63,19 +63,20 @@ def coefficient_pairs() -> tuple[tuple[int, int], ...]:
 
 
 def compute_c(b: KaluzaNumber, counter: OpCount | None = None) -> tuple[float, ...]:
-    """The c-vector: pair up the right operand and halve.
+    """The 64 signed c-values of b: pair up the right operand, halve, negate.
 
     32 additions, 0 multiplications.  c[2t] = (b_u + b_v)/2 and
     c[2t+1] = (b_u - b_v)/2 for the t-th pair (u, v) of
-    coefficient_pairs(); these 32 values are the only distinct
-    magnitudes on the 512-entry diagonal.  Runs as the straight-line
-    _factorized.c_values, which python -m kaluza.codegen writes from
-    coefficient_pairs(): each value is the sum or difference, then the
-    halving, a power-of-two scale that stays off the books.
+    coefficient_pairs(), and entry 32 + j is -c[j]; these are the only
+    distinct values on the 512-entry diagonal.  Runs as the straight-line
+    _factorized.signed_c_values (DiagonalSpec.materialize), which
+    python -m kaluza.codegen writes from coefficient_pairs(): each value
+    is the sum or difference, then the halving, a power-of-two scale that
+    stays off the books, and each negation is free.
     """
     if counter is not None:
-        counter.count(*_factorized.C_VALUES_OPS, stage="prepare")
-    return _factorized.c_values(b.coeffs)
+        counter.count(*_factorized.SIGNED_C_VALUES_OPS, stage="prepare")
+    return derive_diagonal_spec().materialize(b.coeffs)
 
 
 class DiagonalSpec:
@@ -95,16 +96,18 @@ class DiagonalSpec:
         self._generated = None  # whether the generated module has these blocks; see materialize
 
     def _generated_from_blocks(self) -> bool:
-        # Run on ones and the signed c_j = j + 1, the generated diagonal scale
-        # reads back as s * (j + 1) in the lane of each reference it was
-        # generated from; block k's slots of parity p sit in every 32nd lane
-        # from lane(k, p).  The stage returns a list, so it is compared as a
-        # tuple.  A module that cannot run on these inputs is stale too: one
-        # with another argument list raises TypeError, another length ValueError.
+        # b_u = 4t + 3 and b_v = -1 for pair t = (u, v) give c_j = j + 1
+        # exactly, so on ones the generated diagonal scale reads back as
+        # s * (j + 1) in the lane of each reference it was generated from;
+        # block k's slots of parity p sit in every 32nd lane from lane(k, p).
+        # The stage returns a list, so it is compared as a tuple.  A module
+        # that cannot run on these inputs is stale too: one with another
+        # argument list raises TypeError, another length ValueError.
+        b = [0] * 32
+        for t, (u, v) in enumerate(coefficient_pairs()):
+            b[u], b[v] = 4 * t + 3, -1
         try:
-            compiled = tuple(
-                _factorized.diagonal_scale((1,) * 512, _factorized.signed_c_values(range(1, 33)))
-            )
+            compiled = tuple(_factorized.diagonal_scale((1,) * 512, _factorized.signed_c_values(b)))
         except (TypeError, ValueError):
             return False
         want = tuple(s * (j + 1) for block in self.blocks for s, j in block)
@@ -113,17 +116,18 @@ class DiagonalSpec:
             for k in range(16) for p in (0, 1)
         )
 
-    def materialize(self, c: tuple[float, ...]) -> tuple[float, ...]:
-        """The 64 signed c-values that the generated diagonal scale reads
-        from the 32-tuple c; linops.block_diagonal_scale picks each lane's.
+    def materialize(self, b: tuple[float, ...]) -> tuple[float, ...]:
+        """The 64 signed c-values that the generated diagonal scale reads,
+        from the 32 coefficients b of a right operand, in one generated
+        pass; linops.block_diagonal_scale picks each lane's.
 
-        Sign application only, nothing counted.  Raises ValueError if
+        compute_c counts the pass's 32 additions.  Raises ValueError if
         _factorized.diagonal_scale was generated from other blocks, which
         the first call checks: the generator builds a spec while the module
         may be stale, so building one runs no generated code.
         """
-        if len(c) != 32:
-            raise ValueError(f"expected 32 c-values, got {len(c)}")
+        if len(b) != 32:
+            raise ValueError(f"expected 32 coefficients, got {len(b)}")
         if self._generated is None:
             self._generated = self._generated_from_blocks()
         if not self._generated:
@@ -131,7 +135,7 @@ class DiagonalSpec:
                 "_factorized.diagonal_scale was generated from other blocks; "
                 "regenerate it with python -m kaluza.codegen"
             )
-        return _factorized.signed_c_values(c)
+        return _factorized.signed_c_values(b)
 
 
 @cache
@@ -182,19 +186,19 @@ def compare_printed_diagonal():
 
 
 class FactorizedPipeline:
-    """The 64 signed c-values of a fixed right operand, which the diagonal
-    scale reads (DiagonalSpec.materialize).
+    """The 64 signed c-values of a fixed right operand b, which the diagonal
+    scale reads (compute_c).
 
     Immutable after construction; mul_fast applies it to as many left
     operands as desired at 512 multiplications and 544 additions each.
-    The c-values take the float() pass and length check of a
-    KaluzaNumber's coefficients, so a pipeline holds only floats.
+    b is a KaluzaNumber, whose coefficients are already floats, so a
+    pipeline holds only floats without a float() pass of its own.
     """
 
     __slots__ = ("signed_c",)
 
-    def __init__(self, c: tuple[float, ...]):
-        self.signed_c = derive_diagonal_spec().materialize(KaluzaNumber(c).coeffs)
+    def __init__(self, b: KaluzaNumber, counter: OpCount | None = None):
+        self.signed_c = compute_c(b, counter)
 
     def materialize(self) -> list[list[float]]:
         """Dense 32x32 matrix of mul_fast with this pipeline, built from unit
@@ -205,10 +209,10 @@ class FactorizedPipeline:
 def build_pipeline(b: KaluzaNumber, counter: OpCount | None = None) -> FactorizedPipeline:
     """Preprocess a right operand into a reusable pipeline.
 
-    Costs 32 additions (the c-vector); negating the c-values applies
-    signs only and is free.
+    Costs 32 additions (the c-values); negating them applies signs only
+    and is free.
     """
-    return FactorizedPipeline(compute_c(b, counter))
+    return FactorizedPipeline(b, counter)
 
 
 def mul_fast(a: KaluzaNumber, p: FactorizedPipeline, counter: OpCount | None = None) -> KaluzaNumber:

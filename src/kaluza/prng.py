@@ -15,17 +15,22 @@ to the arithmetic.
 
 _MULTIPLIER = 6364136223846793005
 _MASK64 = (1 << 64) - 1
+SEED_LIMIT = 1 << 63
 
 
 class Stream:
-    """Deterministic 64-bit stream seeded from a nonnegative integer."""
+    """Deterministic 64-bit stream seeded from an integer in 0 .. 2**63 - 1.
+
+    The state is 2 * seed + 1 mod 2**64, so a seed past that range would
+    give the stream of seed - 2**63; it is refused instead.
+    """
 
     __slots__ = ("state",)
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError("seed must be nonnegative")
-        self.state = ((seed << 1) | 1) & _MASK64
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in 0..2**63 - 1, got {seed}")
+        self.state = (seed << 1) | 1
 
     def next_word(self) -> int:
         """Advance once and return the full 64-bit state."""

@@ -368,6 +368,15 @@ def test_dump_requires_an_operand_when_one_is_needed(capsys):
         assert "operand is required" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "bench"])
+@pytest.mark.parametrize("seed", [2**63, -1])
+def test_a_seed_outside_the_stream_range_is_a_usage_error(capsys, command, seed):
+    code, out, err = run(capsys, command, "--trials" if command == "verify" else "--reps", "1",
+                         f"--seed={seed}")
+    assert (code, out) == (2, "")
+    assert err.endswith("error: argument --seed: must be an integer in 0..2**63 - 1\n")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 

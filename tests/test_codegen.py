@@ -50,15 +50,22 @@ def test_committed_module_is_what_the_generator_writes():
         assert path.read_text().startswith(codegen.HEADER)
 
 
+def _computes(node) -> bool:
+    return any(isinstance(n, (ast.BinOp, ast.Call)) for n in ast.walk(node))
+
+
 def test_preparation_only_copies_and_halves():
     _, direct = _functions(codegen.DIRECT)
     _, factorized = _functions(codegen.FACTORIZED)
-    for node in (direct["mul_matrix"], factorized["signed_c_values"]):
-        assert not any(isinstance(n, (ast.BinOp, ast.Call)) for n in ast.walk(node)), node.name
-    # each c-value is a sum or difference, then one free halving
-    c_values = factorized["c_values"]
-    assert len(_halvings(c_values)) == 32
-    assert all(n.right.value == 0.5 for n in _halvings(c_values))
+    assert not _computes(direct["mul_matrix"])
+    # signed_c_values binds each c-value once, a sum or difference then one
+    # free halving, and returns those locals and their negations
+    prepare = factorized["signed_c_values"]
+    lets = [n for n in prepare.body if isinstance(n, ast.Assign) and _computes(n)]
+    assert [n.targets[0].id for n in lets] == [f"c{j}" for j in range(32)]
+    assert _halvings(prepare) == [n.value for n in lets]
+    assert all(n.value.right.value == 0.5 for n in lets)
+    assert not _computes(prepare.body[-1])
 
 
 ONE = KaluzaNumber([1.0] * 32)
@@ -90,14 +97,13 @@ def test_counts_are_the_operators_of_the_committed_code():
 
 def test_each_stage_tally_is_its_operators_and_its_kernel_bump():
     tallies = _assert_tallies(codegen.FACTORIZED, _factorized, {
-        "c_values": lambda c: fastmul.compute_c(ONE, c),
-        "signed_c_values": lambda c: fastmul.derive_diagonal_spec().materialize((1.0,) * 32),
+        "signed_c_values": lambda c: fastmul.compute_c(ONE, c),
         "butterfly": lambda c: linops.hadamard_pairs([1.0] * 32, c),
         "diagonal_scale": lambda c: linops.block_diagonal_scale([1.0] * 512, [1.0] * 64, c),
         "fan_in": lambda c: linops.fan_in_sum([1.0] * 512, c),
     })
     assert tallies == {
-        "c_values": (0, 32), "signed_c_values": (0, 0), "butterfly": (0, 32),
+        "signed_c_values": (0, 32), "butterfly": (0, 32),
         "diagonal_scale": (512, 0), "fan_in": (0, 480),
     }
     # Replication is a list repetition, not a generated stage: every lane is

@@ -105,8 +105,9 @@ def test_coefficient_pairs_are_the_orbits_of_left_multiplication_by_e1():
 
 def test_compute_c_of_one():
     c = compute_c(E[0])
-    assert c[0] == 0.5 and c[1] == 0.5
-    assert all(v == 0.0 for v in c[2:])
+    assert len(c) == 64
+    assert c[:2] == (0.5, 0.5) and c[32:34] == (-0.5, -0.5)
+    assert all(v == 0.0 for v in c[2:32] + c[34:])
 
 
 def test_compute_c_pair_examples():
@@ -130,10 +131,11 @@ def test_cvector_recovers_the_original_pairs():
     for t, (u, v) in enumerate(coefficient_pairs()):
         hi, lo = c[2 * t], c[2 * t + 1]
         assert (hi + lo, hi - lo) == (b.coeffs[u], b.coeffs[v])
+        assert (c[32 + 2 * t], c[33 + 2 * t]) == (-hi, -lo)
 
 
 def test_cvector_rejects_wrong_length():
-    with pytest.raises(ValueError, match="expected 32 c-values, got 31"):
+    with pytest.raises(ValueError, match="expected 32 coefficients, got 31"):
         derive_diagonal_spec().materialize((0.0,) * 31)
 
 
@@ -238,15 +240,18 @@ def test_diagonal_concordance_report_is_exactly_the_known_four():
 
 def test_materialized_diagonal_applies_signs_for_free():
     # A pipeline holds 64 signed c-values; the diagonal scale, run on ones,
-    # reads each lane's back, and 1.0 * v is v bit for bit.
+    # reads each lane's back, and 1.0 * v is v bit for bit.  The specials
+    # sit in pairs with a zero partner, so their halves are NaN, +-inf and
+    # signed zeros.
     spec = derive_diagonal_spec()
     specials = [-0.0, 0.0, math.inf, -math.inf, math.nan, -math.nan]
-    for c in (
-        compute_c(KaluzaNumber(range(1, 33))),
-        tuple(specials + [float(i) for i in range(1, 27)]),
-    ):
-        signed = spec.materialize(c)
+    b = [float(i) for i in range(1, 33)]
+    for (u, v), x in zip(coefficient_pairs()[1:], specials):
+        b[u], b[v] = x, 0.0
+    for operand in (range(1, 33), b):
+        signed = spec.materialize(tuple(operand))
         assert len(signed) == 64
+        c = signed[:32]
         values = block_diagonal_scale([1.0] * 512, signed)
         for k in range(16):
             for m in range(32):
@@ -281,14 +286,15 @@ def test_every_engine_result_holds_32_plain_floats():
             for out in _products(a, b):
                 assert type(out.coeffs) is tuple and len(out.coeffs) == 32
                 assert {type(v) for v in out.coeffs} == {float}
-    # A hand-built pipeline's c-values take the same float() pass as an operand's.
-    for c in (range(32), [True, 3, _Real(2.5), Fraction(1, 3)] * 8):
-        p = FactorizedPipeline(c)
+    # A pipeline is built from a KaluzaNumber, whose float() pass is the
+    # only one: the 64 signed c-values it holds are floats too.
+    for b in operands[:2]:
+        p = FactorizedPipeline(b)
+        assert type(p.signed_c) is tuple and len(p.signed_c) == 64
         assert {type(v) for v in p.signed_c} == {float}
-        assert {type(v) for v in mul_fast(operands[2], p).coeffs} == {float}
     for c in ([1j] * 32, ["c"] * 32, [1.0] * 31):
         with pytest.raises((TypeError, ValueError)):
-            mul_fast(operands[2], FactorizedPipeline(c))
+            KaluzaNumber(c)
 
 
 def test_pipeline_for_one_is_the_identity():
@@ -315,6 +321,31 @@ def test_preprocessing_costs_exactly_32_additions():
     counter = OpCount()
     build_pipeline(KaluzaNumber(range(2, 34)), counter)
     assert counter.as_tuple() == (0, 32)
+
+
+def test_one_build_calls_each_traced_entry_point_once(monkeypatch):
+    # perfbench's traced run wraps these three by name.  Without one call
+    # per build, its rows fastmul.compute_c.ns_per_call and
+    # .adds_per_call, fastmul.FactorizedPipeline.init.ns_per_call and
+    # fastmul.DiagonalSpec.materialize.ns_per_call read null, and its CI
+    # step fails on a null metric.
+    calls = {}
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fastmul, "compute_c", spy("compute_c", compute_c))
+    monkeypatch.setattr(FactorizedPipeline, "__init__", spy("init", FactorizedPipeline.__init__))
+    monkeypatch.setattr(DiagonalSpec, "materialize", spy("materialize", DiagonalSpec.materialize))
+    counter = OpCount()
+    p = build_pipeline(KaluzaNumber(range(2, 34)), counter)
+    assert calls == {"compute_c": 1, "init": 1, "materialize": 1}
+    assert counter.stages == {"prepare": (0, 32)}
+    assert type(p.signed_c) is tuple and len(p.signed_c) == 64
+    assert {type(v) for v in p.signed_c} == {float}
 
 
 def test_one_application_costs_512_multiplications_544_additions():
@@ -498,19 +529,22 @@ def test_preparation_copies_signs_and_halves_bit_for_bit_on_special_values(bs, c
     for row, refs in zip(build_mul_matrix(b), symbolic_mul_matrix()):
         assert [_bits(v) for v in row] == [_bits(bs[j] if s > 0 else -bs[j]) for s, j in refs]
     spec = derive_diagonal_spec()
-    want = [_bits(cs[j] if s > 0 else -cs[j]) for block in spec.blocks for s, j in block]
-    values = block_diagonal_scale([1.0] * 512, spec.materialize(tuple(cs)))
-    assert [_bits(values[lane(k, m)]) for k in range(16) for m in range(32)] == want
-    c = compute_c(b)
-    for t, (u, v) in enumerate(coefficient_pairs()):
-        halved = ((bs[u] + bs[v]) * 0.5, (bs[u] - bs[v]) * 0.5)
-        for got, exact in zip(c[2 * t:2 * t + 2], halved):
-            if math.isnan(bs[u]) and math.isnan(bs[v]):
-                # which of two NaNs survives depends on whether the
-                # instruction is specialized yet (see _special_operands)
-                assert math.isnan(got), (t, bs[u], bs[v])
-            else:
-                assert _bits(got) == _bits(exact), (t, bs[u], bs[v])
+    for xs in (bs, cs):
+        signed = compute_c(KaluzaNumber(xs))
+        c = signed[:32]
+        assert [_bits(v) for v in signed[32:]] == [_bits(-v) for v in c]
+        want = [_bits(c[j] if s > 0 else -c[j]) for block in spec.blocks for s, j in block]
+        values = block_diagonal_scale([1.0] * 512, signed)
+        assert [_bits(values[lane(k, m)]) for k in range(16) for m in range(32)] == want
+        for t, (u, v) in enumerate(coefficient_pairs()):
+            halved = ((xs[u] + xs[v]) * 0.5, (xs[u] - xs[v]) * 0.5)
+            for got, exact in zip(c[2 * t:2 * t + 2], halved):
+                if math.isnan(xs[u]) and math.isnan(xs[v]):
+                    # which of two NaNs survives depends on whether the
+                    # instruction is specialized yet (see _special_operands)
+                    assert math.isnan(got), (t, xs[u], xs[v])
+                else:
+                    assert _bits(got) == _bits(exact), (t, xs[u], xs[v])
 
 
 @settings(max_examples=150)

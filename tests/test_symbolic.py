@@ -2,13 +2,12 @@
 
 The committed engines run unchanged on the polynomial scalar of
 symbolic.py, with a = (a0, ..., a31) and b = (b0, ..., b31).  Only the
-name KaluzaNumber in kaluza.number and kaluza.fastmul is replaced, by a
-wrapper that skips the float() pass.  Every output slot must equal the
-structure tensor exactly, which proves the engine bilinear and equal to
-the algebra's product for every input, with each rational coefficient
-(the factorized engine's 1/2 and the butterflies' doublings) exact.
-FactorizedPipeline passes its c-values through KaluzaNumber, so the
-wrapper keeps them symbolic too.
+name KaluzaNumber in kaluza.number is replaced, by a wrapper that skips
+the float() pass; the operands are such wrappers.  Every output slot
+must equal the structure tensor exactly, which proves the engine
+bilinear and equal to the algebra's product for every input, with each
+rational coefficient (the factorized engine's 1/2 and the butterflies'
+doublings) exact.
 
 The factorized engine is also checked stage by stage: each fixed stage
 equals the factor matrix that `kaluza dump factors` prints (test_cli
@@ -23,7 +22,6 @@ import pytest
 from bitmask_oracle import oracle_basis_mul
 from symbolic import Poly, symbols
 
-import kaluza.fastmul
 import kaluza.number
 from kaluza.fastmul import ENGINES, PAIRING_PERMUTATION, build_pipeline, coefficient_pairs
 from kaluza.linops import (
@@ -52,7 +50,6 @@ class Raw:
 @pytest.fixture
 def symbolic(monkeypatch):
     monkeypatch.setattr(kaluza.number, "KaluzaNumber", Raw)
-    monkeypatch.setattr(kaluza.fastmul, "KaluzaNumber", Raw)
     return Raw(A), Raw(B)
 
 
