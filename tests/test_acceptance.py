@@ -1,11 +1,14 @@
-"""Acceptance gate: every shipped claim, one test per criterion.
+"""Acceptance gate: the README's checklist, one test per shipped claim.
 
 Each test prints one summary line so a verbose run reads as a checklist.
-Wall-clock speed of the fast engine is never asserted anywhere; only
-operation counts and numerical agreement are.
+Where a module test repeated one of these claims, the inputs only it
+checked moved here (the integer pairs at +/-2**23 into 04, the exact
+basis matrices into 05) and the duplicate went.  The totals of 01-03 and
+the involution of 07 are still restated in test_fastmul.py and
+test_number.py.  The per-stage tallies live in test_fastmul.py, and
+verify's failure paths in test_cli.py.  Wall-clock speed is never
+asserted anywhere; only operation counts and numerical agreement are.
 """
-
-import time
 
 from bitmask_oracle import oracle_basis_mul
 from kaluza.cayley import TABLE, validate_table
@@ -27,6 +30,8 @@ from kaluza.number import (
 from kaluza.prng import Stream
 
 E = [KaluzaNumber.basis(i) for i in range(32)]
+# The fast engine is bit-exact on integers while 64*max|a|*max|b| <= 2**53.
+INT_BOUND = 2**23
 
 
 def test_01_multiplication_counts_are_exactly_1024_naive_and_512_fast():
@@ -67,7 +72,6 @@ def test_03_total_operation_reduction_is_46_percent():
 
 
 def test_04_fast_engine_equals_naive_on_basis_integer_and_real_inputs():
-    started = time.perf_counter()
     for j in range(32):
         pipe = build_pipeline(E[j])
         for i in range(32):
@@ -76,6 +80,14 @@ def test_04_fast_engine_equals_naive_on_basis_integer_and_real_inputs():
     for _ in range(10**4):
         a = KaluzaNumber(stream.coeffs_int(bound=1024))
         b = KaluzaNumber(stream.coeffs_int(bound=1024))
+        assert mul_fast(a, build_pipeline(b)).coeffs == mul_naive(a, b).coeffs
+    # every coefficient at the integer bound +/-2**23 of the fast engine
+    for xs, ys in (
+        ([INT_BOUND] * 32, [INT_BOUND] * 32),
+        ([-INT_BOUND] * 32, [INT_BOUND] * 32),
+        ([INT_BOUND, -INT_BOUND] * 16, [-INT_BOUND, -INT_BOUND, INT_BOUND, INT_BOUND] * 8),
+    ):
+        a, b = KaluzaNumber(xs), KaluzaNumber(ys)
         assert mul_fast(a, build_pipeline(b)).coeffs == mul_naive(a, b).coeffs
     worst = 0.0
     for _ in range(10**4):
@@ -87,11 +99,9 @@ def test_04_fast_engine_equals_naive_on_basis_integer_and_real_inputs():
         errors = [abs(g - w) / scale for g, w in zip(got, want)]
         assert all(e <= 1e-12 for e in errors)
         worst = max(worst, *errors)
-    elapsed = time.perf_counter() - started
-    assert elapsed < 60.0
     print(
-        f"[PASS] equivalence: 1024 basis pairs and 10^4 integer pairs bit-exact, "
-        f"10^4 real pairs within {worst:.3g} <= 1e-12, in {elapsed:.1f}s"
+        f"[PASS] equivalence: 1024 basis pairs, 10^4 integer pairs and 3 at +/-2^23 "
+        f"bit-exact, 10^4 real pairs within {worst:.3g} <= 1e-12"
     )
 
 
@@ -99,15 +109,17 @@ def test_05_factorized_chain_materializes_to_the_direct_matrix():
     stream = Stream(5)
     operands = list(E) + [KaluzaNumber(stream.coeffs_real()) for _ in range(20)]
     worst = 0.0
-    for b in operands:
+    for n, b in enumerate(operands):
         dense = build_pipeline(b).materialize()
         direct = build_mul_matrix(b)
+        if n < 32:  # a basis operand's matrix holds only 0 and +-1, exactly
+            assert dense == [list(row) for row in direct], n
         errors = [abs(dense[r][c] - direct[r][c]) for r in range(32) for c in range(32)]
         assert all(e <= 1e-12 for e in errors)
         worst = max(worst, *errors)
     print(
-        f"[PASS] factorization identity: 52 operands, max entry error "
-        f"{worst:.3g} <= 1e-12"
+        f"[PASS] factorization identity: 32 basis operands exact, 52 operands "
+        f"within {worst:.3g} <= 1e-12"
     )
 
 
@@ -144,7 +156,9 @@ def test_08_concordance_reports_match_their_frozen_contents():
         print(f"diagonal rendering mismatch: block {k}, slot {m}: derived {d}, printed {p}")
     # discrepancies are typos in the typeset rendering and warn rather
     # than fail; what must hold is that the reports are exactly the known
-    # ones, so any regression in table or derivation surfaces here
+    # ones, so any regression in table or derivation surfaces here.  The
+    # four diagonal slots were frozen from a by-hand recheck of the
+    # underlying table cells.
     assert block_report == []
     assert diag_report == [
         (1, 18, "c23", "-c22"),

@@ -9,9 +9,17 @@ from pathlib import Path
 import pytest
 
 import kaluza.cli
+from kaluza.cayley import VERBATIM_TABLE, CayleyTable
 from kaluza.cli import main
 from kaluza.fastmul import build_pipeline
-from kaluza.linops import block_diagonal_scale, fan_in_sum, lane, materialize, replicate_pairs
+from kaluza.linops import (
+    Permutation32,
+    block_diagonal_scale,
+    fan_in_sum,
+    lane,
+    materialize,
+    replicate_pairs,
+)
 from kaluza.number import KaluzaNumber
 
 
@@ -168,42 +176,87 @@ def test_verify_reports_the_diagonal_rendering_mismatches_as_warnings(capsys):
     assert "[FAIL]" not in out
 
 
-def test_verify_fails_when_the_fast_engine_returns_nan_on_reals(capsys, monkeypatch):
-    # slot 5, not 0: a plain max() skips a NaN that does not come first
-    mul_fast = kaluza.cli.mul_fast
-
-    def nan_in_real_products(a, pipe):
-        out = mul_fast(a, pipe).coeffs
-        if all(v.is_integer() for v in out):
-            return KaluzaNumber(out)
-        return KaluzaNumber(out[:5] + (math.nan,) + out[6:])
-
-    monkeypatch.setattr(kaluza.cli, "mul_fast", nan_in_real_products)
-    code, out, _ = run(capsys, "verify", "--trials", "50", "--seed", "1")
-    assert code == 1
-    fails = [line for line in out.splitlines() if line.startswith("[FAIL]")]
-    assert fails == [
-        "[FAIL] random products, real coefficients: 50 trials within 1e-12 "
-        "relative (seed 1, max nan)"
-    ]
-    assert out.strip().endswith("result: FAIL")
+def _slot_5(selects, wrong):
+    """Patches cli's mul_fast: slot 5 becomes wrong(slot 5) in the products
+    whose left operand's coefficients `selects` picks."""
+    def patch(mul_fast):
+        def product(a, pipe):
+            out = mul_fast(a, pipe).coeffs
+            return KaluzaNumber(out[:5] + (wrong(out[5]),) + out[6:] if selects(a.coeffs) else out)
+        return product
+    return patch
 
 
-def test_verify_fails_on_a_nan_entry_in_the_direct_matrix(capsys, monkeypatch):
-    build_mul_matrix = kaluza.cli.build_mul_matrix
+def _extra_counts(extra):
+    """Patches cli's count_operations: extra(engine, include_preprocessing)
+    more (multiplications, additions) on each tally."""
+    def patch(count_operations):
+        def counts(engine, include_preprocessing=True):
+            counter = count_operations(engine, include_preprocessing)
+            counter.count(*extra(engine, include_preprocessing))
+            return counter
+        return counts
+    return patch
 
-    def nan_at_3_7(b):
-        rows = [list(row) for row in build_mul_matrix(b)]
-        rows[3][7] = math.nan
+
+def _entry_3_7(wrong):
+    """Patches cli's build_mul_matrix: entry (3, 7) becomes wrong(entry)."""
+    def patch(build_mul_matrix):
+        def rows(b):
+            m = [list(row) for row in build_mul_matrix(b)]
+            m[3][7] = wrong(m[3][7])
+            return m
         return rows
+    return patch
 
-    monkeypatch.setattr(kaluza.cli, "build_mul_matrix", nan_at_3_7)
-    code, out, _ = run(capsys, "verify", "--trials", "1")
+
+def _cell_0_3(table):
+    rows = [list(r) for r in table.entries]
+    rows[0][3] = (1, 4)
+    return CayleyTable(rows)
+
+
+# One case per [PASS]/[FAIL] check of `verify`, each wrong in one input: the
+# name patched in kaluza.cli, the patch (a function of the name's value), the
+# trials, and the one [FAIL] line the run must give.
+VERIFY_FAILURES = {
+    "table": ("TABLE", _cell_0_3, 1,
+              "basis table: identity row/column, signed permutations, unit squares (3 violations)"),
+    "basis": ("mul_fast", _slot_5(lambda c: c.count(0.0) == 31, lambda v: v + 1.0), 1,
+              "basis products: fast equals direct on all 1024 pairs (1024 differ)"),
+    "involution": ("PAIRING_PERMUTATION", lambda p: Permutation32([1, 2, 0, *range(3, 32)]), 1,
+                   "pairing permutation: self-inverse on all 32 indices"),
+    "bisymmetry": ("derive_diagonal_spec", lambda derive: lambda: derive(VERBATIM_TABLE), 1,
+                   "permuted matrix: block (9, 1) of the permuted matrix is not bisymmetric: "
+                   "[[-b22, -b26], [-b26, b22]]"),
+    "factorization": ("build_mul_matrix", _entry_3_7(lambda v: v + 1.0), 1,
+                      "factorization: dense chain matches direct matrix for 32 basis and 20 "
+                      "random operands (max abs error 1)"),
+    "factorization-nan": ("build_mul_matrix", _entry_3_7(lambda v: math.nan), 1,
+                          "factorization: dense chain matches direct matrix for 32 basis and 20 "
+                          "random operands (max abs error nan)"),
+    "counts": ("count_operations", _extra_counts(lambda engine, prep: (int(engine == "naive"), 0)), 1,
+               "operation counts: naive: 1025 mul, 992 add; fast: 512 mul, 576 add"),
+    "counts-per-product": ("count_operations", _extra_counts(lambda engine, prep: (0, int(not prep))), 1,
+                           "operation counts: fast without preprocessing: 512 mul, 545 add"),
+    "integer": ("mul_fast", _slot_5(lambda c: c.count(0.0) < 31 and all(map(float.is_integer, c)),
+                                    lambda v: v + 1.0), 1,
+                "random products, integer coefficients: 1 trials bit-exact (seed 1), 1 differ"),
+    "real": ("mul_fast", _slot_5(lambda c: not all(map(float.is_integer, c)), lambda v: v + 1e-9), 1,
+             "random products, real coefficients: 1 trials within 1e-12 relative (seed 1, max 3.23e-10)"),
+    # slot 5, not 0: a plain max() skips a NaN that does not come first
+    "real-nan": ("mul_fast", _slot_5(lambda c: not all(map(float.is_integer, c)), lambda v: math.nan), 50,
+                 "random products, real coefficients: 50 trials within 1e-12 relative (seed 1, max nan)"),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_FAILURES)
+def test_verify_fails_each_check_on_a_wrong_input(capsys, monkeypatch, case):
+    name, patch, trials, fail = VERIFY_FAILURES[case]
+    monkeypatch.setattr(kaluza.cli, name, patch(getattr(kaluza.cli, name)))
+    code, out, _ = run(capsys, "verify", "--trials", str(trials), "--seed", "1")
     assert code == 1
-    assert (
-        "[FAIL] factorization: dense chain matches direct matrix for 32 basis "
-        "and 20 random operands (max abs error nan)\n"
-    ) in out
+    assert [line for line in out.splitlines() if line.startswith("[FAIL]")] == [f"[FAIL] {fail}"]
     assert out.strip().endswith("result: FAIL")
 
 
