@@ -27,7 +27,13 @@ Every generated function comes from one emitter, _function, which takes
 each argument's locals and each output slot as a list of signed terms,
 and each module from one assembler, _module.  mul_direct is the whole
 direct engine, each slot one left-nested sum of its products, and
-mul_matrix returns its V as the rows of M(b).  signed_c_values is V's
+mul_matrix returns its V as the rows of M(b), each row two tuple displays
+of DISPLAY_ITEMS joined by +: CPython compiles a display of more than 30
+items as a list grown one LIST_APPEND per item, then converted.  mul_rows
+is U and W read against V b given as those rows, the dense engine's
+apply: row k is unpacked into the reused locals m0..m31 just before slot
+k, so the frame holds 130 locals, not the 1024 entries at once, which
+would need EXTENDED_ARG past local 255.  signed_c_values is V's
 first two stages in one pass: it binds each c-value once, as the local
 c{j} (the emitter's let), and returns those and n{j} = -c{j}, so the
 negations cost nothing and the pass costs the c-values' 32 additions.
@@ -54,6 +60,10 @@ from .number import symbolic_mul_matrix
 HEADER = "# generated by python -m kaluza.codegen"
 TERMS_PER_LINE = 8
 NAMES_PER_LINE = 16
+# CPython compiles a display of more than 30 items (STACK_USE_GUIDELINE) as
+# an empty list, one LIST_APPEND per item, then a conversion; a row of M(b)
+# is two displays of 16 joined by +, each built on the stack.
+DISPLAY_ITEMS = 16
 
 
 class Stage(NamedTuple):
@@ -128,6 +138,7 @@ def _function(
     name: str, doc: str, args: dict[str, list[str]], slots: list[list], tally: tuple[int, int],
     per_line: int, brackets: str = "[]", scale: float = 1.0, wrap: int = 0, rows: bool = False,
     let: tuple[str, list[list], float] | None = None,
+    each: tuple[list[str], list[str]] | None = None,
 ):
     """A generated function, and its tally (multiplications, additions).
 
@@ -135,18 +146,20 @@ def _function(
     list of signed terms (s, factors), s times the product of the factor
     locals, written as one left-nested sum (with wrap, a line break after
     every wrap terms), times scale in parentheses unless that is 1; with
-    rows, as a tuple display of its terms.  With let = (prefix, sums,
-    let_scale), the local prefix{i} is bound to sums[i], written as a
-    slot is but times let_scale, before anything reads it; each sum starts
-    with a positive term.  A negative first term, and in a row every
-    negative term, reads its last factor p{j} as n{j} and binds
-    n{j} = -p{j} once; a negative term after the first is subtracted.  The
-    slots make one list or tuple display, per_line to a line.  The tally
-    must be the operators written, where a scale after a closing
-    parenthesis is free.  The target lists are continued with
-    backslashes, not parenthesized: the parser backtracks over a
-    parenthesized one, and compiling the module from source then takes
-    about 1 MB more memory at its peak.
+    rows, as tuple displays of DISPLAY_ITEMS terms joined by +.  With let =
+    (prefix, sums, let_scale), the local prefix{i} is bound to sums[i],
+    written as a slot is but times let_scale, before anything reads it;
+    each sum starts with a positive term.  With each = (names, sources),
+    slot k is bound to the local s{k} right after names = sources[k], so
+    the names are reused from slot to slot.  A negative first term, and in
+    a row every negative term, reads its last factor p{j} as n{j} and
+    binds n{j} = -p{j} once; a negative term after the first is
+    subtracted.  The slots make one list or tuple display, per_line to a
+    line.  The tally must be the operators written, where a scale after a
+    closing parenthesis is free and a + between two displays joins them.
+    The target lists are continued with backslashes, not parenthesized:
+    the parser backtracks over a parenthesized one, and compiling the
+    module from source then takes about 1 MB more memory at its peak.
     """
     negated = {}
 
@@ -166,23 +179,34 @@ def _function(
         body = "\n        ".join(" ".join(line) for line in chunks(words, wrap or len(words)))
         return body if scale == 1 else f"({body}) * {scale}"
 
+    def row(slot):
+        items = [first(*term) for term in slot]
+        return " + ".join(f"({', '.join(part)})" for part in chunks(items, DISPLAY_ITEMS))
+
+    def unpack(names, source):
+        targets = (", ".join(line) for line in chunks(names, NAMES_PER_LINE))
+        return "    " + ", \\\n    ".join(targets) + f" = {source}"
+
     bound = [] if let is None else [
         f"{let[0]}{i} = {expr(slot, let[2])}" for i, slot in enumerate(let[1])
     ]
-    exprs = [
-        f"({', '.join(first(*term) for term in slot)})" if rows else expr(slot, scale)
-        for slot in slots
-    ]
+    exprs = [row(slot) if rows else expr(slot, scale) for slot in slots]
     text = " ".join(bound + exprs)
-    counted = (text.count(" * ") - text.count(") * "), text.count(" + ") + text.count(" - "))
+    counted = (
+        text.count(" * ") - text.count(") * "),
+        text.count(" + ") - text.count(") + (") + text.count(" - "),
+    )
     if counted != tally:
         raise ValueError(f"{name}: its stages cost {tally}, its code {counted}")
     lines = [f"def {name}({', '.join(args)}):", f'    """{doc}"""']
-    for arg, names in args.items():
-        targets = (", ".join(line) for line in chunks(names, NAMES_PER_LINE))
-        lines.append("    " + ", \\\n    ".join(targets) + f" = {arg}")
+    lines += [unpack(names, arg) for arg, names in args.items()]
     lines += [f"    {line}" for line in bound]
     lines += [f"    n{j} = -{local}" for j, local in sorted(negated.items())]
+    if each is not None:
+        names, sources = each
+        for k, (source, e) in enumerate(zip(sources, exprs, strict=True)):
+            lines += [unpack(names, source), f"    s{k} = ({e})"]
+        exprs = _names("s", len(exprs))
     lines.append(f"    return {brackets[0]}")
     lines += [f"        {', '.join(line)}," for line in chunks(exprs, per_line)]
     lines.append(f"    {brackets[1]}")
@@ -211,18 +235,22 @@ def _module(doc: str, functions) -> str:
 
 
 def direct_source() -> str:
-    """The text of ``_direct.py``: the direct engine whole, and its V as the
-    rows of M(b)."""
+    """The text of ``_direct.py``: the direct engine whole, its V as the rows
+    of M(b), and U and W over those rows."""
     engine = direct_engine()
     (u,), (v,), (w,) = engine.a_stages, engine.b_stages, engine.out_stages
     args = {"a": _names("a", 32), "b": _names("b", 32)}
-    # product r is (U a)_r * (V b)_r, and W sums row k's products into slot k
+    rows, m = _names("r", 32), _names("m", 32)
+    # product r is (U a)_r * (V b)_r, and W sums row k's products into slot k;
+    # (V b)_r is entry r - 32k of row k of M(b)
     vb = [(s, (args["b"][j],)) for ((s, j),) in v.rows]
-    products = [(su * sv, (args["a"][i], *f)) for ((su, i),), (sv, f) in zip(u.rows, vb)]
+    picks = [(su, args["a"][i]) for ((su, i),) in u.rows]
+    products = [(su * sv, (a, *f)) for (su, a), (sv, f) in zip(picks, vb)]
     return _module(
-        "Straight-line direct product and M(b).\n\n"
+        "Straight-line direct product, M(b), and M(b) applied to a.\n\n"
         "mul_direct is one left-nested sum per output slot; mul_matrix returns\n"
-        "the 32 rows of M(b), each entry a signed copy of one b-coefficient.\n"
+        "the 32 rows of M(b), each entry a signed copy of one b-coefficient;\n"
+        "mul_rows applies 32 given rows to a, one left-nested sum per row.\n"
         "Each NAME_OPS constant is the (multiplications, additions) of NAME.\n",
         [
             _function(
@@ -234,6 +262,15 @@ def direct_source() -> str:
                 "mul_matrix", "Row k of M(b): entry (s, j) is b{j} if s > 0, else n{j} = -b{j}.",
                 {"b": args["b"]}, [[vb[r] for _, r in row] for row in w.rows], (0, _adds(v)), 1,
                 "()", rows=True,
+            ),
+            _function(
+                "mul_rows", "Slot k is m0 * a0 + ... + m31 * a31 over row k, summed left to right.",
+                {"a": args["a"], "rows": rows},
+                [
+                    [(sw * picks[r][0], (m[r - 32 * k], picks[r][1])) for sw, r in row]
+                    for k, row in enumerate(w.rows)
+                ],
+                (engine.rank, _adds(u, w)), NAMES_PER_LINE, wrap=TERMS_PER_LINE, each=(m, rows),
             ),
         ],
     )

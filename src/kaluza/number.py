@@ -5,7 +5,9 @@ it doubles as the oracle that every faster engine is checked against.
 It runs as straight-line code generated from the basis table
 (_direct.py, written by ``python -m kaluza.codegen``): one left-nested
 sum per output slot, its terms in table-row order.  The dense product
-has the same shape by hand, one left-nested sum per matrix row.
+is generated too: build_mul_matrix lays out the rows of M(b) as signed
+copies (_direct.mul_matrix), and mul_dense applies given rows to a, one
+left-nested sum per row (_direct.mul_rows).
 The integer bounds within which each engine is bit-exact, and the
 dynamic range within which its results stay finite, are stated once, in
 README.md ("How the fast engine works"); nothing here checks them at
@@ -143,24 +145,16 @@ def build_mul_matrix(b: KaluzaNumber, counter: OpCount | None = None) -> tuple[t
 def mul_dense(a: KaluzaNumber, rows, counter: OpCount | None = None) -> KaluzaNumber:
     """Plain dense matrix-vector product: 1024 multiplications, 992 additions.
 
-    Each row is one left-nested sum r0*a0 + r1*a1 + ... + r31*a31.  A row
-    that is not 32 entries long, or a matrix that is not 32 rows, raises
-    ValueError and counts nothing.  Its tally is mul_naive's (same shape).
+    The straight-line _direct.mul_rows sums each row as one left-nested
+    sum m0*a0 + m1*a1 + ... + m31*a31, its tally _direct.MUL_ROWS_OPS.  Its
+    tuple unpacks are the length checks: a row that is not 32 entries
+    long, or a matrix that is not 32 rows, raises ValueError and counts
+    nothing.  The rows come from the caller, so the result takes
+    KaluzaNumber's float() pass.
     """
-    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12, a13, a14, a15,
-     a16, a17, a18, a19, a20, a21, a22, a23, a24, a25, a26, a27, a28, a29, a30, a31) = a.coeffs
-    out = KaluzaNumber([
-        r0 * a0 + r1 * a1 + r2 * a2 + r3 * a3 + r4 * a4 + r5 * a5 + r6 * a6 + r7 * a7
-        + r8 * a8 + r9 * a9 + r10 * a10 + r11 * a11 + r12 * a12 + r13 * a13 + r14 * a14
-        + r15 * a15 + r16 * a16 + r17 * a17 + r18 * a18 + r19 * a19 + r20 * a20 + r21 * a21
-        + r22 * a22 + r23 * a23 + r24 * a24 + r25 * a25 + r26 * a26 + r27 * a27 + r28 * a28
-        + r29 * a29 + r30 * a30 + r31 * a31
-        for (r0, r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12, r13, r14, r15,
-             r16, r17, r18, r19, r20, r21, r22, r23, r24, r25, r26, r27, r28, r29, r30, r31)
-        in rows
-    ])
+    out = KaluzaNumber(_direct.mul_rows(a.coeffs, rows))
     if counter is not None:
-        counter.count(*_direct.MUL_DIRECT_OPS, stage="direct")
+        counter.count(*_direct.MUL_ROWS_OPS, stage="direct")
     return out
 
 

@@ -27,10 +27,21 @@ def _halvings(node) -> list[ast.BinOp]:
     ]
 
 
+def _joins(node) -> list[ast.BinOp]:
+    """The + between two tuple displays under node, as mul_matrix joins
+    each row's two displays: a concatenation, not arithmetic."""
+    return [
+        n for n in ast.walk(node)
+        if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Add)
+        and isinstance(n.left, ast.Tuple) and isinstance(n.right, ast.Tuple)
+    ]
+
+
 def _tally(node):
     """(multiplications, additions) of the binary operators under node,
-    a multiplication by a power-of-two constant free."""
-    free = _halvings(node)
+    a multiplication by a power-of-two constant and a join of two tuple
+    displays free."""
+    free = _halvings(node) + _joins(node)
     ops = Counter(
         type(n.op) for n in ast.walk(node) if isinstance(n, ast.BinOp) and n not in free
     )
@@ -51,7 +62,10 @@ def test_committed_module_is_what_the_generator_writes():
 
 
 def _computes(node) -> bool:
-    return any(isinstance(n, (ast.BinOp, ast.Call)) for n in ast.walk(node))
+    joins = _joins(node)
+    return any(
+        isinstance(n, (ast.BinOp, ast.Call)) and n not in joins for n in ast.walk(node)
+    )
 
 
 def test_preparation_only_copies_and_halves():
@@ -91,8 +105,9 @@ def test_counts_are_the_operators_of_the_committed_code():
     tallies = _assert_tallies(codegen.DIRECT, _direct, {
         "mul_direct": lambda c: number.mul_naive(ONE, ONE, c),
         "mul_matrix": lambda c: number.build_mul_matrix(ONE),
+        "mul_rows": lambda c: number.mul_dense(ONE, number.build_mul_matrix(ONE), c),
     })
-    assert tallies == {"mul_direct": (1024, 992), "mul_matrix": (0, 0)}
+    assert tallies == {"mul_direct": (1024, 992), "mul_matrix": (0, 0), "mul_rows": (1024, 992)}
 
 
 def test_each_stage_tally_is_its_operators_and_its_kernel_bump():
@@ -120,6 +135,15 @@ def test_the_emitter_refuses_a_tally_its_code_does_not_carry():
     slots = [[(1, ("x0",)), (1, ("x1",))], [(1, ("x0", "x1"))]]  # x0 + x1, x0 * x1
     with pytest.raises(ValueError, match=r"pairs: its stages cost \(0, 2\), its code \(1, 1\)"):
         codegen._function("pairs", "", {"x": ["x0", "x1"]}, slots, tally, 2)
+    # a row is tuple displays joined by +, which is no addition; a + inside
+    # one of them is
+    x = codegen._names("x", 32)
+    row = [(1, (name,)) for name in x]
+    _, _, source = codegen._function("row", "", {"x": x}, [row], (0, 0), 1, "()", rows=True)
+    assert ") + (x16, " in source
+    row[3] = (1, ("x3 + x4",))
+    with pytest.raises(ValueError, match=r"row: its stages cost \(0, 0\), its code \(0, 1\)"):
+        codegen._function("row", "", {"x": x}, [row], (0, 0), 1, "()", rows=True)
 
 
 @pytest.fixture

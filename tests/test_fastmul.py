@@ -605,6 +605,20 @@ def test_naive_engine_reproduces_its_golden_digest():
     assert h.hexdigest() == GOLDEN_NAIVE_SHA256
 
 
+# sha256 of the dense engine's results on the same operands, computed with
+# the hand-written row comprehension before mul_dense became generated
+# straight-line code; identical on CPython 3.10 to 3.13 on x86-64, on
+# every pass in one process.
+GOLDEN_DENSE_SHA256 = "3ea4a709515bbd749e4f7824162be851cc10a16ee97630fc9d1aefac3a920317"
+
+
+def test_dense_engine_reproduces_its_golden_digest():
+    h = hashlib.sha256()
+    for a, b in [*_golden_operands(), *_special_operands()]:
+        h.update(struct.pack("<32d", *mul_dense(a, build_mul_matrix(b)).coeffs))
+    assert h.hexdigest() == GOLDEN_DENSE_SHA256
+
+
 def _nan_bearing_operands(seed=6, per_kind=150):
     """Pinned pairs with one of SPECIAL_VALUES in about a quarter of the
     slots: first drawn from all eight, then from the six that are not NaN,
