@@ -222,5 +222,5 @@ def dump_table(quadrant: str) -> str:
     lines = []
     for i in range(r0, r0 + 16):
         cells = [format_ref(TABLE.entries[i][j]) for j in range(c0, c0 + 16)]
-        lines.append(" ".join(c.rjust(4) for c in cells).rstrip())
+        lines.append(" ".join(c.rjust(4) for c in cells))
     return "\n".join(lines) + "\n"

@@ -1,18 +1,21 @@
 """Acceptance gate: the README's checklist, one test per shipped claim.
 
 Each test prints one summary line so a verbose run reads as a checklist.
-Where a module test repeated one of these claims, the inputs only it
-checked moved here (the integer pairs at +/-2**23 into 04, the exact
-basis matrices into 05) and the duplicate went.  The totals of 01-03 and
-the involution of 07 are still restated in test_fastmul.py and
-test_number.py.  The per-stage tallies live in test_fastmul.py, and
-verify's failure paths in test_cli.py.  Wall-clock speed is never
+Each claim has its home here, and module tests that only repeated one
+went.  The counted totals live in 01: every engine's, with and without
+preparation, the 46.0% reduction and one preparation shared by five
+products; the tally of each stage that sums to them is in
+test_fastmul.py.  07 pins the pairing map.
+verify's failure paths are in test_cli.py.  Wall-clock speed is never
 asserted anywhere; only operation counts and numerical agreement are.
 """
 
+import pytest
 from bitmask_oracle import oracle_basis_mul
+
 from kaluza.cayley import TABLE, validate_table
 from kaluza.fastmul import (
+    ENGINES,
     PAIRING_PERMUTATION,
     build_pipeline,
     compare_printed_diagonal,
@@ -35,40 +38,34 @@ INT_BOUND = 2**23
 
 
 def test_01_multiplication_counts_are_exactly_1024_naive_and_512_fast():
-    c = OpCount()
-    mul_naive(KaluzaNumber(range(32)), KaluzaNumber(range(1, 33)), c)
-    assert c.multiplications == 1024
-    c = OpCount()
-    pipe = build_pipeline(KaluzaNumber(range(1, 33)), c)
-    mul_fast(KaluzaNumber(range(32)), pipe, c)
-    assert c.multiplications == 512
-    assert count_operations("naive").multiplications == 1024
-    assert count_operations("fast").multiplications == 512
-    print("[PASS] multiplications: naive 1024, fast 512 (preprocessing included)")
-
-
-def test_02_addition_counts_are_exactly_992_naive_and_576_fast():
-    c = OpCount()
-    mul_naive(KaluzaNumber(range(32)), KaluzaNumber(range(1, 33)), c)
-    assert c.additions == 992
-    pre = OpCount()
-    pipe = build_pipeline(KaluzaNumber(range(1, 33)), pre)
-    assert pre.additions == 32  # preprocessing share
-    per_call = OpCount()
-    mul_fast(KaluzaNumber(range(32)), pipe, per_call)
-    assert per_call.additions == 544  # pipeline share
-    assert count_operations("fast").additions == 544 + 32 == 576
-    print("[PASS] additions: naive 992, fast 576 = 544 pipeline + 32 preprocessing")
-
-
-def test_03_total_operation_reduction_is_46_percent():
-    naive = sum(count_operations("naive").as_tuple())
-    fast = sum(count_operations("fast").as_tuple())
-    assert naive == 2016
-    assert fast == 1088
+    totals = {
+        engine: (
+            count_operations(engine).as_tuple(),
+            count_operations(engine, include_preprocessing=False).as_tuple(),
+        )
+        for engine in ENGINES
+    }
+    assert totals == {
+        "naive": ((1024, 992), (1024, 992)),
+        "dense": ((1024, 992), (1024, 992)),
+        "fast": ((512, 544 + 32), (512, 544)),
+    }
+    # one preparation serves every product on its pipeline
+    counter = OpCount()
+    pipe = build_pipeline(KaluzaNumber(range(2, 34)), counter)
+    for i in range(5):
+        mul_fast(KaluzaNumber(range(i, i + 32)), pipe, counter)
+    assert counter.as_tuple() == (5 * 512, 32 + 5 * 544)
+    naive, fast = (sum(totals[engine][0]) for engine in ("naive", "fast"))
+    assert (naive, fast) == (2016, 1088)
     reduction = round(100.0 * (1.0 - fast / naive), 1)
     assert reduction == 46.0
-    print(f"[PASS] total operations: 1088 vs 2016, reduction {reduction}%")
+    with pytest.raises(ValueError, match=f"one of {', '.join(ENGINES)}, got 'vedic'"):
+        count_operations("vedic")
+    print(
+        "[PASS] operation counts: naive and dense 1024 mul, 992 add; fast 512 mul, "
+        f"576 add = 544 per product + 32 preprocessing; 1088 vs 2016, reduction {reduction}%"
+    )
 
 
 def test_04_fast_engine_equals_naive_on_basis_integer_and_real_inputs():
@@ -143,6 +140,10 @@ def test_06_every_2x2_block_of_the_permuted_matrix_is_bisymmetric():
 
 def test_07_pairing_permutation_is_an_involution():
     m = PAIRING_PERMUTATION.map
+    assert m == (
+        0, 1, 2, 6, 4, 8, 3, 7, 5, 9, 10, 16, 12, 18, 14, 20,
+        11, 17, 13, 19, 15, 21, 22, 26, 24, 28, 23, 27, 25, 29, 30, 31,
+    )
     assert all(m[m[i]] == i for i in range(32))
     print("[PASS] involution: permutation composed with itself is the identity")
 

@@ -3,7 +3,10 @@
 import hashlib
 import importlib
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -412,6 +415,20 @@ def test_dump_and_multiply_outputs_keep_their_frozen_sha256(capsys):
         assert code == 0, argv
         got[argv] = hashlib.sha256(out.encode()).hexdigest()
     assert got == FROZEN_SHA256
+
+
+def test_a_reader_that_goes_away_mid_dump_ends_it_quietly():
+    # dump factors prints 69,824 bytes, more than a pipe holds, so the child
+    # is still writing when the reader closes its end after one line
+    env = dict(os.environ, PYTHONPATH=str(Path(kaluza.cli.__file__).resolve().parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "kaluza.cli", "dump", "factors"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env,
+    ) as child:
+        assert child.stdout.readline().startswith(b"# chain: ")
+        child.stdout.close()
+        err = child.stderr.read()
+    assert (child.returncode, err) == (0, b"")
 
 
 def test_dump_requires_an_operand_when_one_is_needed(capsys):

@@ -54,22 +54,6 @@ E = [KaluzaNumber.basis(i) for i in range(32)]
 INT_BOUND = 2**23
 
 
-def test_pairing_permutation_value_and_involution():
-    assert PAIRING_PERMUTATION.map == (
-        0, 1, 2, 6, 4, 8, 3, 7, 5, 9, 10, 16, 12, 18, 14, 20,
-        11, 17, 13, 19, 15, 21, 22, 26, 24, 28, 23, 27, 25, 29, 30, 31,
-    )
-    assert PAIRING_PERMUTATION.is_involution()
-
-
-def test_coefficient_pairs_listing():
-    assert coefficient_pairs() == (
-        (0, 1), (2, 6), (4, 8), (3, 7), (5, 9), (10, 16), (12, 18), (14, 20),
-        (11, 17), (13, 19), (15, 21), (22, 26), (24, 28), (23, 27), (25, 29),
-        (30, 31),
-    )
-
-
 def test_coefficient_pairs_are_the_orbits_of_left_multiplication_by_e1():
     # e1 squares to +1 and swaps the two members of each pair with sign +1,
     # so the unsigned butterfly (u + v, u - v) splits M(b) into the +1 and
@@ -101,12 +85,6 @@ def test_compute_c_pair_examples():
     b = KaluzaNumber([0] * 30 + [1, -1])  # b30 = 1, b31 = -1
     c = compute_c(b)
     assert c[30] == 0.0 and c[31] == 1.0
-
-
-def test_compute_c_counts_32_additions_and_no_multiplications():
-    counter = OpCount()
-    compute_c(KaluzaNumber(range(32)), counter)
-    assert counter.as_tuple() == (0, 32)
 
 
 def test_cvector_recovers_the_original_pairs():
@@ -290,12 +268,6 @@ def test_pipeline_squares_e3_to_minus_one():
     assert mul_fast(E[3], pipe) == KaluzaNumber([-1] + [0] * 31)
 
 
-def test_preprocessing_costs_exactly_32_additions():
-    counter = OpCount()
-    build_pipeline(KaluzaNumber(range(2, 34)), counter)
-    assert counter.as_tuple() == (0, 32)
-
-
 def test_one_build_calls_each_traced_entry_point_once(monkeypatch):
     # perfbench's traced run wraps these three by name.  Without one call
     # per build, its rows fastmul.compute_c.ns_per_call and
@@ -321,31 +293,6 @@ def test_one_build_calls_each_traced_entry_point_once(monkeypatch):
     assert {type(v) for v in p.signed_c} == {float}
 
 
-def test_one_application_costs_512_multiplications_544_additions():
-    pipe = build_pipeline(KaluzaNumber(range(2, 34)))
-    counter = OpCount()
-    mul_fast(KaluzaNumber(range(1, 33)), pipe, counter)
-    assert counter.as_tuple() == (512, 544)
-
-
-def test_pipeline_reuse_amortizes_preprocessing():
-    counter = OpCount()
-    pipe = build_pipeline(KaluzaNumber(range(2, 34)), counter)
-    for i in range(5):
-        mul_fast(KaluzaNumber(range(i, i + 32)), pipe, counter)
-    assert counter.as_tuple() == (5 * 512, 32 + 5 * 544)
-
-
-def test_count_operations_summary():
-    assert count_operations("naive").as_tuple() == (1024, 992)
-    assert count_operations("fast").as_tuple() == (512, 576)
-    assert count_operations("fast", include_preprocessing=False).as_tuple() == (512, 544)
-    assert count_operations("dense").as_tuple() == (1024, 992)
-    assert count_operations("dense", include_preprocessing=False).as_tuple() == (1024, 992)
-    with pytest.raises(ValueError, match=f"one of {', '.join(fastmul.ENGINES)}, got 'vedic'"):
-        count_operations("vedic")
-
-
 # Each engine's tally by stage: the butterfly runs on both sides, 0/32 each,
 # and the lanes are the diagonal scale (512/0) and the fan-in (0/480).
 STAGE_TALLIES = {
@@ -355,14 +302,19 @@ STAGE_TALLIES = {
 }
 
 
+def _stage_sum(stages):
+    return tuple(map(sum, zip(*stages.values())))
+
+
 def test_count_operations_tallies_each_stage_and_the_stages_sum_to_the_total():
     assert set(STAGE_TALLIES) == set(fastmul.ENGINES)
     for engine, stages in STAGE_TALLIES.items():
         counter = count_operations(engine)
         assert counter.stages == stages, engine
-        assert tuple(map(sum, zip(*stages.values()))) == counter.as_tuple(), engine
-        product = count_operations(engine, include_preprocessing=False).stages
-        assert product == {k: v for k, v in stages.items() if k != "prepare"}, engine
+        assert _stage_sum(stages) == counter.as_tuple(), engine
+        product = count_operations(engine, include_preprocessing=False)
+        assert product.stages == {k: v for k, v in stages.items() if k != "prepare"}, engine
+        assert _stage_sum(product.stages) == product.as_tuple(), engine
 
 
 def test_both_engines_equal_the_exact_integer_product_at_the_bound():

@@ -52,6 +52,9 @@ def test_construction_and_text_round_trip():
         KaluzaNumber.from_text("# no values\n  # none here either\n")
     with pytest.raises(ValueError):
         KaluzaNumber(range(31))
+    for index in (-1, 32):  # -1 would index from the end and give e31
+        with pytest.raises(IndexError, match=rf"^basis index must be in 0\.\.31, got {index}$"):
+            KaluzaNumber.basis(index)
 
 
 def test_from_text_ignores_comments():
@@ -102,12 +105,6 @@ def test_basis_product_examples():
 
 def test_multiplication_is_not_commutative():
     assert mul_naive(E[1], E[2]) != mul_naive(E[2], E[1])
-
-
-def test_naive_count_is_exact():
-    c = OpCount()
-    mul_naive(KaluzaNumber(range(32)), KaluzaNumber(range(1, 33)), c)
-    assert c.as_tuple() == (1024, 992)
 
 
 def test_naive_matches_oracle_on_all_basis_pairs():
@@ -205,10 +202,7 @@ def test_dense_apply_equals_naive_on_all_basis_pairs():
 @given(int_vec, int_vec)
 def test_dense_apply_equals_naive_bit_exact(xs, ys):
     a, b = KaluzaNumber(xs), KaluzaNumber(ys)
-    c = OpCount()
-    got = mul_dense(a, build_mul_matrix(b), c)
-    assert c.as_tuple() == (1024, 992)
-    assert got.coeffs == mul_naive(a, b).coeffs
+    assert mul_dense(a, build_mul_matrix(b)).coeffs == mul_naive(a, b).coeffs
 
 
 def test_dense_rejects_a_matrix_that_is_not_32_by_32():
@@ -317,6 +311,13 @@ def test_symbolic_matrix_refuses_entries_outside_the_signed_indices():
         rows[5][26] = entry
         with pytest.raises(ValueError, match=rf"^entry \({entry[0]}, {entry[1]}\) is not a sign"):
             CayleyTable(rows)
+    # A table can hold a row that is not a signed permutation (validate_table
+    # reports it); unchecked, the repeated entry would overwrite a grid cell
+    # and leave another None.
+    rows = [list(r) for r in TABLE.entries]
+    rows[3][6] = rows[3][5]
+    with pytest.raises(ValueError, match=r"^table row 3 is not a signed permutation$"):
+        symbolic_mul_matrix(CayleyTable(rows))
 
 
 def test_printed_block_comparison_reports_the_verbatim_table_typo():
