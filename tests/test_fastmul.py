@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from bitmask_oracle import oracle_basis_mul
+from bitmask_oracle import oracle_mul
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -322,7 +322,6 @@ def test_both_engines_equal_the_exact_integer_product_at_the_bound():
     # Python integers.  Coefficients all at exactly +/-2**23 would make
     # every term a power of two, exact at any size.  The same draws
     # scaled to 2**25 are not all exact.
-    table = [[oracle_basis_mul(i, j) for j in range(32)] for i in range(32)]
     rng = random.Random(23)
 
     def coeff():
@@ -331,11 +330,7 @@ def test_both_engines_equal_the_exact_integer_product_at_the_bound():
     for _ in range(40):
         xs = [coeff() for _ in range(32)]
         ys = [coeff() for _ in range(32)]
-        exact = [0] * 32
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                s, k = table[i][j]
-                exact[k] += s * x * y
+        exact = oracle_mul(xs, ys)
         a, b = KaluzaNumber(xs), KaluzaNumber(ys)
         assert list(mul_naive(a, b).coeffs) == exact
         assert list(mul_fast(a, build_pipeline(b)).coeffs) == exact
@@ -363,16 +358,6 @@ def _half_integer_edge_operands(m, e=23):
     return a, b
 
 
-def _exact_product(xs, ys):
-    """a * b in Python integers, through the bitmask oracle's table."""
-    exact = [0] * 32
-    for i, x in enumerate(xs):
-        for j, y in enumerate(ys):
-            s, k = oracle_basis_mul(i, j)
-            exact[k] += s * x * y
-    return exact
-
-
 def test_fast_is_bit_exact_where_half_integer_sums_reach_the_bound():
     term = (2**24 - 1) ** 2 / 2
     for m in range(32):
@@ -384,7 +369,7 @@ def test_fast_is_bit_exact_where_half_integer_sums_reach_the_bound():
         assert [scaled[lane(k, m)] for k in range(16)] == [term] * 16
         got, want = mul_fast(a, p).coeffs, mul_naive(a, b).coeffs
         assert struct.pack("<32d", *got) == struct.pack("<32d", *want), m
-        assert list(got) == _exact_product(xs, ys), m
+        assert list(got) == oracle_mul(xs, ys), m
 
 
 def test_fast_leaves_the_exact_product_one_binade_past_the_bound():
@@ -394,7 +379,7 @@ def test_fast_leaves_the_exact_product_one_binade_past_the_bound():
     for m in range(32):
         xs, ys = _half_integer_edge_operands(m, e=24)
         a, b = KaluzaNumber(xs), KaluzaNumber(ys)
-        exact = _exact_product(xs, ys)
+        exact = oracle_mul(xs, ys)
         assert list(mul_naive(a, b).coeffs) == exact, m
         assert list(mul_fast(a, build_pipeline(b)).coeffs) != exact, m
 

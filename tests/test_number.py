@@ -1,4 +1,14 @@
-"""KaluzaNumber arithmetic against the independent oracle."""
+"""KaluzaNumber and the contracts of the direct engines.
+
+Parsing and the package exports; the layout of the multiplication matrix
+and the dense engine's shape check; associativity, which checks the
+table erratum; the symbolic matrix and its guards; and the input domain
+of naive and dense: exact at their integer bound, and within the
+recursive summation bound beyond it.  That naive and dense equal the
+algebra's product on every input is proved once, on formal symbols, in
+test_symbolic.py; the golden naive and dense digests in test_fastmul.py
+freeze their float bits.
+"""
 
 import math
 import struct
@@ -19,15 +29,6 @@ from kaluza.number import (
     mul_dense,
     mul_naive,
     symbolic_mul_matrix,
-)
-
-E = [KaluzaNumber.basis(i) for i in range(32)]
-
-int_vec = st.lists(
-    st.integers(min_value=-(2**20), max_value=2**20), min_size=32, max_size=32
-)
-real_vec = st.lists(
-    st.floats(min_value=-1.0, max_value=1.0, allow_nan=False), min_size=32, max_size=32
 )
 
 
@@ -88,67 +89,6 @@ def test_package_exports_only_the_entry_points_callers_import():
     ]
 
 
-def test_one_is_the_multiplicative_identity():
-    x = KaluzaNumber(range(32))
-    assert mul_naive(E[0], x) == x
-    assert mul_naive(x, E[0]) == x
-
-
-def test_basis_product_examples():
-    assert mul_naive(E[1], E[2]) == E[6]
-    assert mul_naive(E[2], E[1]) == KaluzaNumber([0] * 6 + [-1] + [0] * 25)
-    # (e1 + e2) * e3 = e7 + e10
-    assert mul_naive(KaluzaNumber([0, 1, 1] + [0] * 29), E[3]) == KaluzaNumber(
-        [0] * 7 + [1, 0, 0, 1] + [0] * 21
-    )
-
-
-def test_multiplication_is_not_commutative():
-    assert mul_naive(E[1], E[2]) != mul_naive(E[2], E[1])
-
-
-def test_naive_matches_oracle_on_all_basis_pairs():
-    for i in range(32):
-        for j in range(32):
-            got = mul_naive(E[i], E[j]).coeffs
-            assert list(got) == oracle_mul(E[i].coeffs, E[j].coeffs), (i, j)
-
-
-@settings(max_examples=200)
-@given(int_vec, int_vec)
-def test_naive_matches_oracle_bit_exact_on_integers(xs, ys):
-    got = mul_naive(KaluzaNumber(xs), KaluzaNumber(ys)).coeffs
-    assert list(got) == oracle_mul([float(v) for v in xs], [float(v) for v in ys])
-
-
-@settings(max_examples=100)
-@given(int_vec, int_vec, int_vec, st.integers(min_value=-64, max_value=64))
-def test_bilinearity_in_the_left_operand(xs, xs2, ys, alpha):
-    a = KaluzaNumber(xs)
-    a2 = KaluzaNumber(xs2)
-    b = KaluzaNumber(ys)
-    lhs = mul_naive(KaluzaNumber([alpha * u + v for u, v in zip(xs, xs2)]), b)
-    rhs = [
-        alpha * u + v
-        for u, v in zip(mul_naive(a, b).coeffs, mul_naive(a2, b).coeffs)
-    ]
-    assert list(lhs.coeffs) == rhs  # integer inputs keep everything exact
-
-
-@settings(max_examples=100)
-@given(int_vec, int_vec, int_vec, st.integers(min_value=-64, max_value=64))
-def test_bilinearity_in_the_right_operand(xs, ys, ys2, alpha):
-    a = KaluzaNumber(xs)
-    b = KaluzaNumber(ys)
-    b2 = KaluzaNumber(ys2)
-    lhs = mul_naive(a, KaluzaNumber([alpha * u + v for u, v in zip(ys, ys2)]))
-    rhs = [
-        alpha * u + v
-        for u, v in zip(mul_naive(a, b).coeffs, mul_naive(a, b2).coeffs)
-    ]
-    assert list(lhs.coeffs) == rhs
-
-
 @settings(max_examples=60)
 @given(
     st.lists(st.integers(min_value=-50, max_value=50), min_size=32, max_size=32),
@@ -162,21 +102,8 @@ def test_multiplication_is_associative(xs, ys, zs):
     assert list(left.coeffs) == list(right.coeffs)
 
 
-def test_zero_operand_gives_zero():
-    zero = KaluzaNumber([0] * 32)
-    assert mul_naive(zero, KaluzaNumber(range(32))) == zero
-    assert mul_naive(KaluzaNumber(range(32)), zero) == zero
-
-
-def test_mul_matrix_of_one_is_the_identity():
-    m = build_mul_matrix(E[0])
-    for r in range(32):
-        for c in range(32):
-            assert m[r][c] == (1.0 if r == c else 0.0)
-
-
 def test_mul_matrix_of_e1_known_entries():
-    m = build_mul_matrix(E[1])
+    m = build_mul_matrix(KaluzaNumber.basis(1))
     assert m[0][1] == 1.0  # e1 * e1 = 1
     assert m[6][2] == -1.0  # e2 * e1 = -e6
 
@@ -189,20 +116,6 @@ def test_mul_matrix_places_signed_copies_bit_for_bit():
         for i, (s, j) in enumerate(row):
             want = b.coeffs[j] if s > 0 else -b.coeffs[j]
             assert struct.pack("<d", m[k][i]) == struct.pack("<d", want)
-
-
-def test_dense_apply_equals_naive_on_all_basis_pairs():
-    for j in range(32):
-        m = build_mul_matrix(E[j])
-        for i in range(32):
-            assert mul_dense(E[i], m).coeffs == mul_naive(E[i], E[j]).coeffs
-
-
-@settings(max_examples=100)
-@given(int_vec, int_vec)
-def test_dense_apply_equals_naive_bit_exact(xs, ys):
-    a, b = KaluzaNumber(xs), KaluzaNumber(ys)
-    assert mul_dense(a, build_mul_matrix(b)).coeffs == mul_naive(a, b).coeffs
 
 
 def test_dense_rejects_a_matrix_that_is_not_32_by_32():
@@ -228,10 +141,7 @@ def _same_sign_slot_operands(m: int, k: int):
         for j, (s, slot) in enumerate(row):
             if slot == k:
                 b[j] = s * m
-    exact = [0] * 32
-    for i, row in enumerate(TABLE.entries):
-        for j, (s, slot) in enumerate(row):
-            exact[slot] += s * a[i] * b[j]
+    exact = oracle_mul(a, b)
     assert exact[k] == 32 * m * m
     return KaluzaNumber(a), KaluzaNumber(b), exact
 
@@ -283,14 +193,6 @@ def test_direct_engines_stay_within_the_recursive_summation_bound(xs, ys):
         for k, v in enumerate(got.coeffs):
             error = abs(_scaled(v, SCALE**2) - exact[k])
             assert error <= GAMMA_32 * magnitude[k] + 32 * SCALE, (k, v)
-
-
-def test_dense_apply_on_identity_matrix_and_zero_vector():
-    m = build_mul_matrix(E[0])
-    x = KaluzaNumber(range(32))
-    zero = KaluzaNumber([0] * 32)
-    assert mul_dense(x, m) == x
-    assert mul_dense(zero, m) == zero
 
 
 def test_symbolic_matrix_entries():
