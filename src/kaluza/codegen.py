@@ -23,31 +23,33 @@ tests/test_brent.py proves each description by the Brent equations.
   (linops.lane), so replication is the list repetition x * 16; it and the
   permutation run as linops code, not generated.
 
-Every generated function comes from one emitter, _function, which takes
-each argument's locals and each output slot as a list of signed terms,
-and each module from one assembler, _module.  mul_direct is the whole
-direct engine, each slot one left-nested sum of its products, and
-mul_matrix returns its V as the rows of M(b), each row two tuple displays
-of DISPLAY_ITEMS joined by +: CPython compiles a display of more than 30
-items as a list grown one LIST_APPEND per item, then converted.  mul_rows
-is U and W read against V b given as those rows, the dense engine's
-apply: row k is unpacked into the reused locals m0..m31 just before slot
-k, so the frame holds 130 locals, not the 1024 entries at once, which
-would need EXTENDED_ARG past local 255.  signed_c_values is V's
-first two stages in one pass: it binds each c-value once, as the local
-c{j} (the emitter's let), and returns those and n{j} = -c{j}, so the
-negations cost nothing and the pass costs the c-values' 32 additions.
-butterfly (on both sides) and fan_in are one factorized stage each, and
-diagonal_scale is the middle product: lane r is x{r} times its pick, the
-local c{j} or n{j} that holds it.  A negative term after the first is
-subtracted, never negated; a negative first term reads n{j} = -x{j},
-bound once per call.  Every output entry is one expression, so the
-description alone fixes the order of each function's floating-point
-operations.  _module writes the NAME_OPS tally of each function NAME:
-its (multiplications, additions), taken from its stages and checked
-against the operators of its output expressions.  Both modules are
-committed, because unmarshalling their bytecode is cheaper than
-compiling the source at import.
+Every generated function comes from one emitter, _function: it unpacks
+its arguments into locals, runs its statements (target, expression) in
+order, and returns one list or tuple display.  Each module comes from one
+assembler, _module.  Two helpers write the expressions: _sum is one
+left-nested sum of signed terms, a negative term after the first
+subtracted, never negated, and its first term positive; a value read
+negated is bound once, as the local n{j} = -x{j}.  _display is tuple
+displays of DISPLAY_ITEMS items joined by +: CPython compiles a display of
+more than 30 items as a list grown one LIST_APPEND per item, then
+converted.  mul_direct is the whole direct engine, each slot one sum of
+its products, and mul_matrix returns its V as the rows of M(b), each row
+one _display.  mul_rows is U and W read against V b given as those rows,
+the dense engine's apply: its statements unpack row k into the reused
+locals m0..m31 and bind slot k to s{k}, so the frame holds 130 locals,
+not the 1024 entries at once, which would need EXTENDED_ARG past local
+255.  signed_c_values is V's first two stages in one pass: its statements
+bind each c-value once, as the local c{j}, then n{j} = -c{j}, and it
+returns those, so the negations cost nothing and the pass costs the
+c-values' 32 additions.  butterfly (on both sides) and fan_in are one
+factorized stage each, and diagonal_scale is the middle product: lane r is
+x{r} times its pick, the local c{j} or n{j} that holds it.  Every value is
+one expression, so the description alone fixes the order of each
+function's floating-point operations.  _module writes the NAME_OPS tally
+of each function NAME: its (multiplications, additions), taken from its
+stages and checked against the operators of its statements and its
+return.  Both modules are committed, because unmarshalling their bytecode
+is cheaper than compiling the source at import.
 """
 
 from pathlib import Path
@@ -134,64 +136,47 @@ def _names(prefix: str, n: int) -> list[str]:
     return [f"{prefix}{i}" for i in range(n)]
 
 
+def _chunks(items: list, n: int) -> list[list]:
+    return [items[k:k + n] for k in range(0, len(items), n)]
+
+
+def _sum(terms, wrap: int = 0, scale: float = 1.0) -> str:
+    """One left-nested sum of signed terms (s, factors), s times the product
+    of the factor locals: a term after the first is added or subtracted,
+    never negated, with a line break after every wrap terms, and the sum is
+    times scale in parentheses unless that is 1.  The first term must be
+    positive: a caller that needs it negative binds the negation to a local
+    first, as n{j} = -x{j}, and sums that."""
+    (s, factors), *rest = terms
+    if s < 0:
+        raise ValueError(f"a sum starts with a positive term, not -{' * '.join(factors)}")
+    words = [" * ".join(factors), *(f"{'+' if s > 0 else '-'} {' * '.join(f)}" for s, f in rest)]
+    text = "\n        ".join(" ".join(line) for line in _chunks(words, wrap or len(words)))
+    return text if scale == 1 else f"({text}) * {scale}"
+
+
+def _display(items: list[str]) -> str:
+    """Tuple displays of DISPLAY_ITEMS items each, joined by +."""
+    return " + ".join(f"({', '.join(part)})" for part in _chunks(items, DISPLAY_ITEMS))
+
+
 def _function(
-    name: str, doc: str, args: dict[str, list[str]], slots: list[list], tally: tuple[int, int],
-    per_line: int, brackets: str = "[]", scale: float = 1.0, wrap: int = 0, rows: bool = False,
-    let: tuple[str, list[list], float] | None = None,
-    each: tuple[list[str], list[str]] | None = None,
+    name: str, doc: str, args: dict[str, list[str]], body: list[tuple], returns: list[str],
+    tally: tuple[int, int], per_line: int, brackets: str = "[]",
 ):
     """A generated function, and its tally (multiplications, additions).
 
-    It unpacks each argument into its locals, args[arg].  Each slot is a
-    list of signed terms (s, factors), s times the product of the factor
-    locals, written as one left-nested sum (with wrap, a line break after
-    every wrap terms), times scale in parentheses unless that is 1; with
-    rows, as tuple displays of DISPLAY_ITEMS terms joined by +.  With let =
-    (prefix, sums, let_scale), the local prefix{i} is bound to sums[i],
-    written as a slot is but times let_scale, before anything reads it;
-    each sum starts with a positive term.  With each = (names, sources),
-    slot k is bound to the local s{k} right after names = sources[k], so
-    the names are reused from slot to slot.  A negative first term, and in
-    a row every negative term, reads its last factor p{j} as n{j} and
-    binds n{j} = -p{j} once; a negative term after the first is
-    subtracted.  The slots make one list or tuple display, per_line to a
-    line.  The tally must be the operators written, where a scale after a
-    closing parenthesis is free and a + between two displays joins them.
-    The target lists are continued with backslashes, not parenthesized:
-    the parser backtracks over a parenthesized one, and compiling the
-    module from source then takes about 1 MB more memory at its peak.
+    It unpacks each argument into its locals, args[arg], runs the
+    statements (target, expression) of body in order, and returns the
+    expressions of returns as one list or tuple display, per_line to a
+    line.  A target that is a list of names is unpacked like an argument,
+    with its lines continued by backslashes, not parenthesized: the parser
+    backtracks over a parenthesized target list, and compiling the module
+    from source then takes about 1 MB more memory at its peak.  The tally
+    must be the operators written in body and returns, where a scale after
+    a closing parenthesis is free and a + between two displays joins them.
     """
-    negated = {}
-
-    def chunks(items, n):
-        return [items[k:k + n] for k in range(0, len(items), n)]
-
-    def first(s, factors):
-        *rest, last = factors
-        if s < 0:
-            negated[int(last[1:])] = last
-            last = f"n{last[1:]}"
-        return " * ".join((*rest, last))
-
-    def expr(slot, scale):
-        (s, factors), *rest = slot
-        words = [first(s, factors), *(f"{'+' if s > 0 else '-'} {' * '.join(f)}" for s, f in rest)]
-        body = "\n        ".join(" ".join(line) for line in chunks(words, wrap or len(words)))
-        return body if scale == 1 else f"({body}) * {scale}"
-
-    def row(slot):
-        items = [first(*term) for term in slot]
-        return " + ".join(f"({', '.join(part)})" for part in chunks(items, DISPLAY_ITEMS))
-
-    def unpack(names, source):
-        targets = (", ".join(line) for line in chunks(names, NAMES_PER_LINE))
-        return "    " + ", \\\n    ".join(targets) + f" = {source}"
-
-    bound = [] if let is None else [
-        f"{let[0]}{i} = {expr(slot, let[2])}" for i, slot in enumerate(let[1])
-    ]
-    exprs = [row(slot) if rows else expr(slot, scale) for slot in slots]
-    text = " ".join(bound + exprs)
+    text = " ".join([expression for _, expression in body] + returns)
     counted = (
         text.count(" * ") - text.count(") * "),
         text.count(" + ") - text.count(") + (") + text.count(" - "),
@@ -199,28 +184,22 @@ def _function(
     if counted != tally:
         raise ValueError(f"{name}: its stages cost {tally}, its code {counted}")
     lines = [f"def {name}({', '.join(args)}):", f'    """{doc}"""']
-    lines += [unpack(names, arg) for arg, names in args.items()]
-    lines += [f"    {line}" for line in bound]
-    lines += [f"    n{j} = -{local}" for j, local in sorted(negated.items())]
-    if each is not None:
-        names, sources = each
-        for k, (source, e) in enumerate(zip(sources, exprs, strict=True)):
-            lines += [unpack(names, source), f"    s{k} = ({e})"]
-        exprs = _names("s", len(exprs))
+    for target, expression in [(names, arg) for arg, names in args.items()] + body:
+        if isinstance(target, list):
+            target = ", \\\n    ".join(", ".join(line) for line in _chunks(target, NAMES_PER_LINE))
+        lines.append(f"    {target} = {expression}")
     lines.append(f"    return {brackets[0]}")
-    lines += [f"        {', '.join(line)}," for line in chunks(exprs, per_line)]
+    lines += [f"        {', '.join(line)}," for line in _chunks(returns, per_line)]
     lines.append(f"    {brackets[1]}")
     return name, tally, "\n".join(lines) + "\n"
 
 
-def _linear(name: str, doc: str, prefix: str, stage: Stage, per_line: int, brackets: str = "[]"):
+def _linear(name: str, doc: str, prefix: str, stage: Stage, per_line: int):
     """The function of one linear stage over prefix0, prefix1, ...: row i is
-    slot i; it costs (0, the stage's additions)."""
+    returned as item i; it costs (0, the stage's additions)."""
     names = _names(prefix, 1 + max(j for row in stage.rows for _, j in row))
-    slots = [[(s, (names[j],)) for s, j in row] for row in stage.rows]
-    return _function(
-        name, doc, {prefix: names}, slots, (0, _adds(stage)), per_line, brackets, stage.scale,
-    )
+    returns = [_sum([(s, (names[j],)) for s, j in row], scale=stage.scale) for row in stage.rows]
+    return _function(name, doc, {prefix: names}, [], returns, (0, _adds(stage)), per_line)
 
 
 def _module(doc: str, functions) -> str:
@@ -239,13 +218,20 @@ def direct_source() -> str:
     of M(b), and U and W over those rows."""
     engine = direct_engine()
     (u,), (v,), (w,) = engine.a_stages, engine.b_stages, engine.out_stages
-    args = {"a": _names("a", 32), "b": _names("b", 32)}
-    rows, m = _names("r", 32), _names("m", 32)
+    a, b, rows, m = _names("a", 32), _names("b", 32), _names("r", 32), _names("m", 32)
     # product r is (U a)_r * (V b)_r, and W sums row k's products into slot k;
-    # (V b)_r is entry r - 32k of row k of M(b)
-    vb = [(s, (args["b"][j],)) for ((s, j),) in v.rows]
-    picks = [(su, args["a"][i]) for ((su, i),) in u.rows]
-    products = [(su * sv, (a, *f)) for (su, a), (sv, f) in zip(picks, vb)]
+    # (V b)_r is entry r - 32k of row k of M(b), which mul_matrix reads from the
+    # local b{j}, or n{j} = -b{j}
+    picks = [(su, a[i]) for ((su, i),) in u.rows]
+    products = [(su * sv, (a[i], b[j])) for ((su, i),), ((sv, j),) in zip(u.rows, v.rows)]
+    entries = [f"b{j}" if s > 0 else f"n{j}" for ((s, j),) in v.rows]
+    negations = [(f"n{j}", f"-b{j}") for j in sorted({j for ((s, j),) in v.rows if s < 0})]
+    # mul_rows unpacks row k into the reused locals m0..m31 just before binding
+    # slot k; a sum that spans lines must be parenthesized in a statement
+    each_row = []
+    for k, row in enumerate(w.rows):
+        terms = [(sw * picks[r][0], (m[r - 32 * k], picks[r][1])) for sw, r in row]
+        each_row += [(m, rows[k]), (f"s{k}", f"({_sum(terms, TERMS_PER_LINE)})")]
     return _module(
         "Straight-line direct product, M(b), and M(b) applied to a.\n\n"
         "mul_direct is one left-nested sum per output slot; mul_matrix returns\n"
@@ -254,23 +240,23 @@ def direct_source() -> str:
         "Each NAME_OPS constant is the (multiplications, additions) of NAME.\n",
         [
             _function(
-                "mul_direct", "Slot k is row k of M(b) applied to a, summed left to right.", args,
-                [[(sw * products[r][0], products[r][1]) for sw, r in row] for row in w.rows],
-                (engine.rank, _adds(u, v, w)), 1, "()", wrap=TERMS_PER_LINE,
+                "mul_direct", "Slot k is row k of M(b) applied to a, summed left to right.",
+                {"a": a, "b": b}, [],
+                [
+                    _sum([(sw * products[r][0], products[r][1]) for sw, r in row], TERMS_PER_LINE)
+                    for row in w.rows
+                ],
+                (engine.rank, _adds(u, v, w)), 1, "()",
             ),
             _function(
                 "mul_matrix", "Row k of M(b): entry (s, j) is b{j} if s > 0, else n{j} = -b{j}.",
-                {"b": args["b"]}, [[vb[r] for _, r in row] for row in w.rows], (0, _adds(v)), 1,
-                "()", rows=True,
+                {"b": b}, negations, [_display([entries[r] for _, r in row]) for row in w.rows],
+                (0, _adds(v)), 1, "()",
             ),
             _function(
                 "mul_rows", "Slot k is m0 * a0 + ... + m31 * a31 over row k, summed left to right.",
-                {"a": args["a"], "rows": rows},
-                [
-                    [(sw * picks[r][0], (m[r - 32 * k], picks[r][1])) for sw, r in row]
-                    for k, row in enumerate(w.rows)
-                ],
-                (engine.rank, _adds(u, w)), NAMES_PER_LINE, wrap=TERMS_PER_LINE, each=(m, rows),
+                {"a": a, "rows": rows}, each_row, _names("s", 32), (engine.rank, _adds(u, w)),
+                NAMES_PER_LINE,
             ),
         ],
     )
@@ -287,7 +273,11 @@ def factorized_source() -> str:
         raise ValueError("hadamard_pairs runs one generated butterfly on both sides")
     # the locals that hold signed_c_values' output: c{j} and n{j} = -c{j}
     d = [f"{'c' if s > 0 else 'n'}{j}" for ((s, j),) in signed.rows]
-    b, c, x = _names("b", 32), _names("c", 32), _names("x", engine.rank)
+    b, x = _names("b", 32), _names("x", engine.rank)
+    prepare = [
+        (f"c{i}", _sum([(s, (b[j],)) for s, j in row], scale=c_values.scale))
+        for i, row in enumerate(c_values.rows)
+    ] + [(f"n{j}", f"-c{j}") for ((s, j),) in signed.rows if s < 0]
     return _module(
         "Straight-line operand preparation and stages of the factorized chain.\n\n"
         "signed_c_values prepares a right operand in one pass; the other\n"
@@ -298,16 +288,15 @@ def factorized_source() -> str:
                 "signed_c_values",
                 "(c0, ..., c31, -c0, ..., -c31), which diagonal_scale reads; pair t = (u, v)\n"
                 "    gives c{2t} = (b{u} + b{v}) * 0.5 and c{2t+1} = (b{u} - b{v}) * 0.5.",
-                {"b": b}, [[(s, (c[j],))] for ((s, j),) in signed.rows],
-                (0, _adds(c_values, signed)), NAMES_PER_LINE, "()",
-                let=("c", [[(s, (b[j],)) for s, j in row] for row in c_values.rows], c_values.scale),
+                {"b": b}, prepare, d, (0, _adds(c_values, signed)), NAMES_PER_LINE, "()",
             ),
             _linear("butterfly", "(x0, x1, ...) -> (x0 + x1, x0 - x1, ...).", "x", butterfly, 4),
             _function(
                 "diagonal_scale",
                 "Lane lane(k, m) is its x times c{j} or n{j} = -c{j}, (s, j) = blocks[k][m] "
                 "of the spec.",
-                {"x": x, "d": d}, [[(s, (x[r], d[j]))] for r, ((s, j),) in enumerate(picks.rows)],
+                {"x": x, "d": d}, [],
+                [_sum([(s, (x[r], d[j]))]) for r, ((s, j),) in enumerate(picks.rows)],
                 (engine.rank, _adds(picks)), TERMS_PER_LINE,
             ),
             _linear(

@@ -72,11 +72,13 @@ def compute_c(b: KaluzaNumber, counter: OpCount | None = None) -> tuple[float, .
     _factorized.signed_c_values (DiagonalSpec.materialize), which
     python -m kaluza.codegen writes from coefficient_pairs(): each value
     is the sum or difference, then the halving, a power-of-two scale that
-    stays off the books, and each negation is free.
+    stays off the books, and each negation is free.  It counts only after
+    the pass returns, so a rejected input counts nothing.
     """
+    c = derive_diagonal_spec().materialize(b.coeffs)
     if counter is not None:
         counter.count(*_factorized.SIGNED_C_VALUES_OPS, stage="prepare")
-    return derive_diagonal_spec().materialize(b.coeffs)
+    return c
 
 
 class DiagonalSpec:

@@ -133,16 +133,6 @@ def test_validation_reports_every_violation_in_rule_order():
     ]
 
 
-def test_dump_cells():
-    nw = dump_table("NW").splitlines()
-    assert nw[1].split()[2] == "e6"  # row e1, column e2
-    assert nw[0].split()[0] == "1"
-    ne = dump_table("NE").splitlines()
-    assert ne[1].split()[0] == "e10"  # row e1, column e16
-    se = dump_table("SE").splitlines()
-    assert se[15].split()[15] == "-1"  # row e31, column e31
-
-
 def test_dump_round_trips_through_quadrant_parsing():
     nw, ne, sw, se = (dump_table(q).splitlines() for q in QUADRANTS)
     rows = [w + " " + e for w, e in zip(nw, ne)] + [w + " " + e for w, e in zip(sw, se)]

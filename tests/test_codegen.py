@@ -132,18 +132,24 @@ def test_the_emitter_refuses_a_tally_its_code_does_not_carry():
     stage = codegen.Stage((((1, 0), (1, 1)), ((1, 0), (-1, 1))), 0.5)
     name, tally, _ = codegen._linear("pairs", "", "x", stage, 2)
     assert (name, tally) == ("pairs", (0, 2))
-    slots = [[(1, ("x0",)), (1, ("x1",))], [(1, ("x0", "x1"))]]  # x0 + x1, x0 * x1
+    args = {"x": ["x0", "x1"]}
     with pytest.raises(ValueError, match=r"pairs: its stages cost \(0, 2\), its code \(1, 1\)"):
-        codegen._function("pairs", "", {"x": ["x0", "x1"]}, slots, tally, 2)
+        codegen._function("pairs", "", args, [], ["x0 + x1", "x0 * x1"], tally, 2)
+    # an operator in a statement counts as one in the return does
+    with pytest.raises(ValueError, match=r"pairs: its stages cost \(0, 2\), its code \(1, 2\)"):
+        codegen._function("pairs", "", args, [("y", "x0 * x1")], ["x0 + x1", "x0 - y"], tally, 2)
     # a row is tuple displays joined by +, which is no addition; a + inside
     # one of them is
     x = codegen._names("x", 32)
-    row = [(1, (name,)) for name in x]
-    _, _, source = codegen._function("row", "", {"x": x}, [row], (0, 0), 1, "()", rows=True)
+    row = [codegen._display(x)]
+    _, _, source = codegen._function("row", "", {"x": x}, [], row, (0, 0), 1, "()")
     assert ") + (x16, " in source
-    row[3] = (1, ("x3 + x4",))
+    x[3] = "x3 + x4"
     with pytest.raises(ValueError, match=r"row: its stages cost \(0, 0\), its code \(0, 1\)"):
-        codegen._function("row", "", {"x": x}, [row], (0, 0), 1, "()", rows=True)
+        codegen._function("row", "", {"x": x}, [], [codegen._display(x)], (0, 0), 1, "()")
+    # a sum starts with a positive term; a negated one is a local of its own
+    with pytest.raises(ValueError, match=r"a sum starts with a positive term, not -x0$"):
+        codegen._sum([(-1, ("x0",)), (1, ("x1",))])
 
 
 @pytest.fixture
@@ -164,3 +170,8 @@ def test_the_generator_writes_over_a_module_that_cannot_run(one_argument_diagona
 def test_a_module_that_cannot_run_is_stale(one_argument_diagonal_scale):
     with pytest.raises(ValueError, match=r"regenerate it with python -m kaluza\.codegen$"):
         fastmul.derive_diagonal_spec().materialize((1.0,) * 32)
+    # a pipeline built over it raises the same, and its rejected input counts nothing
+    counter = linops.OpCount()
+    with pytest.raises(ValueError, match=r"regenerate it with python -m kaluza\.codegen$"):
+        fastmul.build_pipeline(ONE, counter)
+    assert counter.as_tuple() == (0, 0) and counter.stages == {}

@@ -71,13 +71,6 @@ def test_coefficient_pairs_are_the_orbits_of_left_multiplication_by_e1():
     assert {TABLE.entries[x][y][1] for x in firsts for y in firsts} == firsts
 
 
-def test_compute_c_of_one():
-    c = compute_c(E[0])
-    assert len(c) == 64
-    assert c[:2] == (0.5, 0.5) and c[32:34] == (-0.5, -0.5)
-    assert all(v == 0.0 for v in c[2:32] + c[34:])
-
-
 def test_compute_c_pair_examples():
     b = KaluzaNumber([0, 0, 1, 0, 0, 0, 1] + [0] * 25)  # b2 = b6 = 1
     c = compute_c(b)
@@ -253,19 +246,6 @@ def test_every_engine_result_holds_32_plain_floats():
     for c in ([1j] * 32, ["c"] * 32, [1.0] * 31):
         with pytest.raises((TypeError, ValueError)):
             KaluzaNumber(c)
-
-
-def test_pipeline_for_one_is_the_identity():
-    pipe = build_pipeline(E[0])
-    x = KaluzaNumber(range(32))
-    assert mul_fast(x, pipe) == x  # integer coefficients stay exact
-    for e in E:
-        assert mul_fast(e, pipe) == e
-
-
-def test_pipeline_squares_e3_to_minus_one():
-    pipe = build_pipeline(E[3])
-    assert mul_fast(E[3], pipe) == KaluzaNumber([-1] + [0] * 31)
 
 
 def test_one_build_calls_each_traced_entry_point_once(monkeypatch):
