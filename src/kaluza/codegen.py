@@ -172,7 +172,8 @@ def _function(
     line.  A target that is a list of names is unpacked like an argument,
     with its lines continued by backslashes, not parenthesized: the parser
     backtracks over a parenthesized target list, and compiling the module
-    from source then takes about 1 MB more memory at its peak.  The tally
+    from source then takes about 1 MB more memory at its peak.  An
+    expression that spans lines, such as a wrapped _sum, is parenthesized.  The tally
     must be the operators written in body and returns, where a scale after
     a closing parenthesis is free and a + between two displays joins them.
     """
@@ -187,7 +188,7 @@ def _function(
     for target, expression in [(names, arg) for arg, names in args.items()] + body:
         if isinstance(target, list):
             target = ", \\\n    ".join(", ".join(line) for line in _chunks(target, NAMES_PER_LINE))
-        lines.append(f"    {target} = {expression}")
+        lines.append(f"    {target} = " + (f"({expression})" if "\n" in expression else expression))
     lines.append(f"    return {brackets[0]}")
     lines += [f"        {', '.join(line)}," for line in _chunks(returns, per_line)]
     lines.append(f"    {brackets[1]}")
@@ -226,12 +227,11 @@ def direct_source() -> str:
     products = [(su * sv, (a[i], b[j])) for ((su, i),), ((sv, j),) in zip(u.rows, v.rows)]
     entries = [f"b{j}" if s > 0 else f"n{j}" for ((s, j),) in v.rows]
     negations = [(f"n{j}", f"-b{j}") for j in sorted({j for ((s, j),) in v.rows if s < 0})]
-    # mul_rows unpacks row k into the reused locals m0..m31 just before binding
-    # slot k; a sum that spans lines must be parenthesized in a statement
+    # mul_rows unpacks row k into the reused locals m0..m31 just before binding slot k
     each_row = []
     for k, row in enumerate(w.rows):
         terms = [(sw * picks[r][0], (m[r - 32 * k], picks[r][1])) for sw, r in row]
-        each_row += [(m, rows[k]), (f"s{k}", f"({_sum(terms, TERMS_PER_LINE)})")]
+        each_row += [(m, rows[k]), (f"s{k}", _sum(terms, TERMS_PER_LINE))]
     return _module(
         "Straight-line direct product, M(b), and M(b) applied to a.\n\n"
         "mul_direct is one left-nested sum per output slot; mul_matrix returns\n"

@@ -1,10 +1,14 @@
 """Factorized multiplication: the same product at half the multiplications.
 
-Reordering the basis so that paired coefficients sit adjacently turns
-every 2x2 block of the multiplication matrix into a bisymmetric one,
-[[A, B], [B, A]], and such a block diagonalizes through the 2x2 Hadamard
-butterfly with eigenvalues (A+B)/2 and (A-B)/2.  Sharing the butterflies
-along whole block rows and block columns yields
+The coefficient pairs are the orbits {u, e1*u} of left multiplication by
+e1, which commutes with the multiplication matrix: each partner is read
+from the basis table's e1 row, and the paper's order of the sixteen first
+members is the only pairing data.  Reordering the basis so that paired
+coefficients sit adjacently turns every 2x2 block of the multiplication
+matrix into a bisymmetric one, [[A, B], [B, A]], and such a block
+diagonalizes through the 2x2 Hadamard butterfly with eigenvalues (A+B)/2
+and (A-B)/2.  Sharing the butterflies along whole block rows and block
+columns yields
 
     permute -> butterfly -> replicate -> diagonal -> fan-in -> butterfly -> permute
 
@@ -31,7 +35,7 @@ the diagonal's 512 lanes (linops.lane) are never built as data.
 from functools import cache
 
 from . import _factorized
-from .cayley import CayleyTable, format_ref, signed_refs
+from .cayley import TABLE, CayleyTable, format_ref, signed_refs
 from .fixtures import diff_printed, printed_diagonal_blocks
 from .linops import (
     OpCount,
@@ -47,19 +51,33 @@ from .linops import (
 from .number import (KaluzaNumber, build_mul_matrix, mul_dense, mul_naive,
                      symbolic_mul_matrix, wrap_result)
 
-# Reorder that puts each paired coefficient next to its partner: slots
-# (2t, 2t+1) pick up the pair (map[2t], map[2t+1]).  It is an involution,
-# so the same permutation opens and closes the pipeline.
-PAIRING_PERMUTATION = Permutation32(
-    (0, 1, 2, 6, 4, 8, 3, 7, 5, 9, 10, 16, 12, 18, 14, 20,
-     11, 17, 13, 19, 15, 21, 22, 26, 24, 28, 23, 27, 25, 29, 30, 31)
-)
+# The first member u of each coefficient pair, in the paper's order; u is
+# the lower index of its orbit {u, e1*u}.  coefficient_pairs reads each
+# partner from the table, so this is the only pairing data.
+_ORBIT_ORDER = (0, 2, 4, 3, 5, 10, 12, 14, 11, 13, 15, 22, 24, 23, 25, 30)
 
 
 def coefficient_pairs() -> tuple[tuple[int, int], ...]:
-    """The sixteen (u, v) coefficient pairs, in c-vector order."""
-    m = PAIRING_PERMUTATION.map
-    return tuple((m[2 * t], m[2 * t + 1]) for t in range(16))
+    """The sixteen (u, v) coefficient pairs, in c-vector order.
+
+    Pair t is the orbit {u, e1*u} of left multiplication by e1, for the
+    t-th first member u of the paper's orbit order: v is read from the
+    basis table's e1 row, TABLE.entries[1][u], which holds +e_v.  Raises
+    ValueError if the order does not name each of the sixteen orbits
+    once.  derive_diagonal_spec refuses the pairs of an order that names
+    a partner in place of its orbit's lower index, and those of a table
+    whose e1 row holds -e_v: its blocks are not bisymmetric.
+    """
+    pairs = tuple((u, TABLE.entries[1][u][1]) for u in _ORBIT_ORDER)
+    if sorted(i for pair in pairs for i in pair) != list(range(32)):
+        raise ValueError(f"orbit order {_ORBIT_ORDER} does not name each of the 16 orbits once")
+    return pairs
+
+
+# Reorder that puts each paired coefficient next to its partner: slots
+# (2t, 2t+1) pick up pair t.  For the paper's order it is an involution,
+# so the same permutation opens and closes the pipeline.
+PAIRING_PERMUTATION = Permutation32(i for pair in coefficient_pairs() for i in pair)
 
 
 def compute_c(b: KaluzaNumber, counter: OpCount | None = None) -> tuple[float, ...]:
@@ -100,22 +118,19 @@ class DiagonalSpec:
     def _generated_from_blocks(self) -> bool:
         # b_u = 4t + 3 and b_v = -1 for pair t = (u, v) give c_j = j + 1
         # exactly, so on ones the generated diagonal scale reads back as
-        # s * (j + 1) in the lane of each reference it was generated from;
-        # block k's slots of parity p sit in every 32nd lane from lane(k, p).
-        # The stage returns a list, so it is compared as a tuple.  A module
-        # that cannot run on these inputs is stale too: one with another
-        # argument list raises TypeError, another length ValueError.
+        # s * (j + 1) in the lane of each reference it was generated from.
+        # A module that cannot run on these inputs is stale too: one with
+        # another argument list raises TypeError, another length ValueError.
         b = [0] * 32
         for t, (u, v) in enumerate(coefficient_pairs()):
             b[u], b[v] = 4 * t + 3, -1
         try:
-            compiled = tuple(_factorized.diagonal_scale((1,) * 512, _factorized.signed_c_values(b)))
+            compiled = _factorized.diagonal_scale((1,) * 512, _factorized.signed_c_values(b))
         except (TypeError, ValueError):
             return False
-        want = tuple(s * (j + 1) for block in self.blocks for s, j in block)
         return all(
-            compiled[lane(k, p)::32] == want[32 * k + p:32 * k + 32:2]
-            for k in range(16) for p in (0, 1)
+            compiled[lane(k, m)] == s * (j + 1)
+            for k, block in enumerate(self.blocks) for m, (s, j) in enumerate(block)
         )
 
     def materialize(self, b: tuple[float, ...]) -> tuple[float, ...]:

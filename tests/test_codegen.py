@@ -150,6 +150,13 @@ def test_the_emitter_refuses_a_tally_its_code_does_not_carry():
     # a sum starts with a positive term; a negated one is a local of its own
     with pytest.raises(ValueError, match=r"a sum starts with a positive term, not -x0$"):
         codegen._sum([(-1, ("x0",)), (1, ("x1",))])
+    # a statement whose sum spans lines is parenthesized, so the function compiles
+    x = codegen._names("x", 4)
+    body = [("y", codegen._sum([(1, (v,)) for v in x], 2))]
+    _, _, source = codegen._function("wrapped", "", {"x": x}, body, ["y"], (0, 3), 1)
+    namespace = {}
+    exec(source, namespace)
+    assert namespace["wrapped"]([1.0, 2.0, 4.0, 8.0]) == [15.0]
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import kaluza
 import kaluza.fastmul as fastmul
 from kaluza import _factorized
-from kaluza.cayley import TABLE, VERBATIM_TABLE
+from kaluza.cayley import TABLE, VERBATIM_TABLE, CayleyTable, validate_table
 from kaluza.fastmul import (
     PAIRING_PERMUTATION,
     DiagonalSpec,
@@ -54,7 +54,7 @@ E = [KaluzaNumber.basis(i) for i in range(32)]
 INT_BOUND = 2**23
 
 
-def test_coefficient_pairs_are_the_orbits_of_left_multiplication_by_e1():
+def test_coefficient_pairs_are_the_orbits_of_left_multiplication_by_e1(monkeypatch):
     # e1 squares to +1 and swaps the two members of each pair with sign +1,
     # so the unsigned butterfly (u + v, u - v) splits M(b) into the +1 and
     # -1 eigenspaces of left multiplication by e1.
@@ -69,6 +69,23 @@ def test_coefficient_pairs_are_the_orbits_of_left_multiplication_by_e1():
     # 2x2 block refers to a first member and B to its partner.
     firsts = {u for u, _ in pairs}
     assert {TABLE.entries[x][y][1] for x in firsts for y in firsts} == firsts
+    # The derivation reads only the partners.  TABLE in the basis with e6
+    # negated is a valid table of the same algebra with e1 * e2 = -e6: it
+    # pairs the same indices, and the bisymmetry check refuses it.
+    sign = [-1 if i == 6 else 1 for i in range(32)]
+    negated = CayleyTable([
+        [(sign[i] * sign[j] * sign[w] * s, w) for j, (s, w) in enumerate(row)]
+        for i, row in enumerate(TABLE.entries)
+    ])
+    assert validate_table(negated) == [] and negated.entries[1][2] == (-1, 6)
+    monkeypatch.setattr(fastmul, "TABLE", negated)
+    assert coefficient_pairs() == pairs
+    with pytest.raises(ValueError, match=r"^block \(1, 0\) .* not bisymmetric: \[\[b2, -b6\], "):
+        derive_diagonal_spec.__wrapped__(negated)
+    # an orbit order that names the orbit {0, 1} twice, and {2, 6} not at all
+    monkeypatch.setattr(fastmul, "_ORBIT_ORDER", (0, 0) + fastmul._ORBIT_ORDER[2:])
+    with pytest.raises(ValueError, match=r"^orbit order \(0, 0, 4, .* name each of the 16 orbits once$"):
+        coefficient_pairs()
 
 
 def test_compute_c_pair_examples():
@@ -177,10 +194,10 @@ def test_uncorrected_table_breaks_bisymmetry_at_block_9_1():
 
 
 def test_pairs_taken_partner_first_are_rejected(monkeypatch):
-    # Reversed pairs keep every block bisymmetric, but A then refers to a
-    # pair's second member, which the closed-form resolution does not cover.
-    pairs = tuple((v, u) for u, v in coefficient_pairs())
-    monkeypatch.setattr(fastmul, "coefficient_pairs", lambda: pairs)
+    # An orbit order that names the partner 1 in place of 0 keeps every
+    # block bisymmetric, but A then refers to a pair's second member, which
+    # the closed-form resolution does not cover.
+    monkeypatch.setattr(fastmul, "_ORBIT_ORDER", (1,) + fastmul._ORBIT_ORDER[1:])
     with pytest.raises(
         ValueError,
         match=r"^block \(0, 0\): A = b0 and B = b1 do not refer to a pair's "

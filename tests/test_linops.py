@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import kaluza
+from kaluza.fastmul import PAIRING_PERMUTATION
 from kaluza.linops import (
     OpCount,
     Permutation32,
@@ -271,12 +272,8 @@ def test_materialized_hadamard_single_pair():
 
 
 def test_materialized_permutation_is_a_symmetric_0_1_matrix_for_involutions():
-    p = Permutation32(
-        (0, 1, 2, 6, 4, 8, 3, 7, 5, 9, 10, 16, 12, 18, 14, 20,
-         11, 17, 13, 19, 15, 21, 22, 26, 24, 28, 23, 27, 25, 29, 30, 31)
-    )
-    assert p.is_involution()
-    m = materialize(lambda x: apply_permutation(p, x), 32)
+    assert PAIRING_PERMUTATION.is_involution()
+    m = materialize(lambda x: apply_permutation(PAIRING_PERMUTATION, x), 32)
     for r in range(32):
         assert sorted(m[r]) == [0.0] * 31 + [1.0]
         for c in range(32):
