@@ -20,6 +20,7 @@ import sys
 import time
 
 from .cayley import QUADRANTS, TABLE, dump_table, validate_table
+from .codegen import factorized_engine
 from .fastmul import (
     ENGINES,
     PAIRING_PERMUTATION,
@@ -29,15 +30,7 @@ from .fastmul import (
     derive_diagonal_spec,
     mul_fast,
 )
-from .linops import (
-    apply_permutation,
-    block_diagonal_scale,
-    fan_in_sum,
-    hadamard_pairs,
-    lane,
-    materialize,
-    replicate_pairs,
-)
+from .linops import lane
 from .number import (
     KaluzaNumber,
     build_mul_matrix,
@@ -272,43 +265,50 @@ def _fmt_matrix(rows) -> str:
     return "\n".join(" ".join(f"{v:.17g}" for v in row) for row in rows)
 
 
+def _dense(stage) -> list[list[int]]:
+    """Entry (i, j) of a stage is the sign of row i's reference to input j, or 0."""
+    n = 1 + max(j for row in stage.rows for _, j in row)
+    signs = [{j: s for s, j in row} for row in stage.rows]
+    return [[row.get(j, 0) for j in range(n)] for row in signs]
+
+
 def _cmd_dump(args) -> int:
     what = args.what
+    if what in ("table-quadrant", "factors"):
+        if args.operand is not None:
+            raise _InputError(f"dump {what}: takes no operand")
+    elif args.operand is None:
+        raise _InputError(f"dump {what}: an operand is required")
     if what == "table-quadrant":
         print(dump_table(args.quadrant))
         return 0
+    if what == "mul-matrix":
+        print(_fmt_matrix(build_mul_matrix(_load_operand(args.operand, "operand"))))
+        return 0
+    # The rest print factorized_engine()'s stages, with the 512 lanes block
+    # by block: row (column) 32k + m is lane(k, m).
+    engine = factorized_engine()
+    blocks = [lane(k, m) for k in range(16) for m in range(32)]
     if what == "factors":
-        # The 512 lanes print block by block: row (column) 32k + m is lane(k, m).
-        blocks = [lane(k, m) for k in range(16) for m in range(32)]
-        replicate = materialize(replicate_pairs, 32)
-        fan_in = materialize(fan_in_sum, 512)
-        factors = [
-            ("permute", materialize(lambda x: apply_permutation(PAIRING_PERMUTATION, x), 32)),
-            ("hadamard-pairs", materialize(hadamard_pairs, 32)),
-            ("replicate", [replicate[i] for i in blocks]),
-            ("fan-in", [[row[i] for i in blocks] for row in fan_in]),
-        ]
+        permute, butterfly, replicate = map(_dense, engine.a_stages)
+        fan_in = _dense(engine.out_stages[0])
         print(
             "# chain: permute -> hadamard-pairs -> replicate -> diagonal(b) "
             "-> fan-in -> hadamard-pairs -> permute"
         )
-        for name, m in factors:
+        for name, m in (
+            ("permute", permute),
+            ("hadamard-pairs", butterfly),
+            ("replicate", [replicate[i] for i in blocks]),
+            ("fan-in", [[row[i] for i in blocks] for row in fan_in]),
+        ):
             print(f"# {name} {len(m)}x{len(m[0])}")
             print(_fmt_matrix(m))
-        return 0
-    # the remaining dumps need a right operand
-    if args.operand is None:
-        raise _InputError(f"dump {what}: an operand is required")
-    b = _load_operand(args.operand, "operand")
-    if what == "mul-matrix":
-        print(_fmt_matrix(build_mul_matrix(b)))
-    else:  # diagonal
-        # The lanes the running kernel scales by; operands are finite, so
-        # each 1.0 * v is v bit for bit.
-        values = block_diagonal_scale([1.0] * 512, build_pipeline(b).signed_c)
+    else:  # diagonal: the signed c-value that each lane picks
+        signed_c = build_pipeline(_load_operand(args.operand, "operand")).signed_c
+        lanes = [s * signed_c[i] for ((s, i),) in engine.b_stages[-1].rows]
         for k in range(16):
-            row = (values[lane(k, m)] for m in range(32))
-            print(f"block {k}: " + " ".join(f"{v:.17g}" for v in row))
+            print(f"block {k}: " + " ".join(f"{lanes[i]:.17g}" for i in blocks[32 * k:32 * k + 32]))
     return 0
 
 

@@ -24,12 +24,15 @@ generated diagonal scale.  A separately transcribed rendering of those
 references is kept in fixtures and diffed against the derivation as a
 typo cross-check.
 
-mul_fast is the one description of the chain; the dense matrix of a
-pipeline, checked against the direct one, is built by running mul_fast
-itself.  A prepared right operand is plain data: compute_c turns the
-right operand's coefficients into the 32 c-values and their negations in
-one generated pass, and FactorizedPipeline holds only those 64 floats;
-the diagonal's 512 lanes (linops.lane) are never built as data.
+codegen.factorized_engine() is the one description of the chain:
+python -m kaluza.codegen writes its arithmetic stages, the tests prove
+it and check each kernel against it, and kaluza dump prints it.
+mul_fast runs the chain; the dense matrix of a pipeline, checked
+against the direct one, is built by running mul_fast itself.  A
+prepared right operand is plain data: compute_c turns the right
+operand's coefficients into the 32 c-values and their negations in one
+generated pass, and FactorizedPipeline holds only those 64 floats; the
+diagonal's 512 lanes (linops.lane) are never built as data.
 """
 
 from functools import cache
@@ -57,18 +60,20 @@ from .number import (KaluzaNumber, build_mul_matrix, mul_dense, mul_naive,
 _ORBIT_ORDER = (0, 2, 4, 3, 5, 10, 12, 14, 11, 13, 15, 22, 24, 23, 25, 30)
 
 
-def coefficient_pairs() -> tuple[tuple[int, int], ...]:
-    """The sixteen (u, v) coefficient pairs, in c-vector order.
+def coefficient_pairs(table: CayleyTable | None = None) -> tuple[tuple[int, int], ...]:
+    """The sixteen (u, v) coefficient pairs of a table (TABLE if None), in
+    c-vector order.
 
     Pair t is the orbit {u, e1*u} of left multiplication by e1, for the
     t-th first member u of the paper's orbit order: v is read from the
-    basis table's e1 row, TABLE.entries[1][u], which holds +e_v.  Raises
-    ValueError if the order does not name each of the sixteen orbits
-    once.  derive_diagonal_spec refuses the pairs of an order that names
-    a partner in place of its orbit's lower index, and those of a table
+    table's e1 row, entries[1][u], which holds +e_v.  Raises ValueError
+    if the order does not name each of the sixteen orbits once.
+    derive_diagonal_spec refuses the pairs of an order that names a
+    partner in place of its orbit's lower index, and those of a table
     whose e1 row holds -e_v: its blocks are not bisymmetric.
     """
-    pairs = tuple((u, TABLE.entries[1][u][1]) for u in _ORBIT_ORDER)
+    e1 = (TABLE if table is None else table).entries[1]
+    pairs = tuple((u, e1[u][1]) for u in _ORBIT_ORDER)
     if sorted(i for pair in pairs for i in pair) != list(range(32)):
         raise ValueError(f"orbit order {_ORBIT_ORDER} does not name each of the 16 orbits once")
     return pairs
@@ -163,11 +168,13 @@ def derive_diagonal_spec(table: CayleyTable | None = None) -> DiagonalSpec:
     commutes with M(b); so the block at (row pair r, column pair k) is
     [[A, B], [B, A]] with A = +/-b_u, B = +/-b_v for one pair t = (u, v),
     and its eigenvalues (A+B)/2, (A-B)/2 are +/-c[2t] or +/-c[2t+1].
-    Raises if a block is not bisymmetric or (A, B) is not such a pair in
-    that order: the table and the pairing would disagree.  Cached per table.
+    The pairs are coefficient_pairs(table), so an order that does not
+    name each of that table's orbits once is refused first.  Raises if a
+    block is not bisymmetric or (A, B) is not such a pair in that order:
+    the table and the pairing would disagree.  Cached per table.
     """
     sym = symbolic_mul_matrix(table)
-    pairs = coefficient_pairs()
+    pairs = coefficient_pairs(table)
     pair_index = {pair: t for t, pair in enumerate(pairs)}
     blocks = [[] for _ in pairs]
     for k, (uk, vk) in enumerate(pairs):

@@ -12,8 +12,11 @@ any other length, and a kernel counts only after its stage returns.
 The 512 lanes between replication and fan-in are lane-major: lane
 ``lane(k, m)`` carries slot m of pair block k.  Negations and power-of-two
 scalings are shift-class operations and stay off the books; a subtraction
-is tallied as an addition.  ``materialize`` turns any of them, or any
-chain of them, into a dense matrix for verification.
+is tallied as an addition.  ``materialize`` builds the dense matrix of a
+linear function; its one caller is ``FactorizedPipeline.materialize``,
+the matrix of the running chain that ``verify`` and the tests compare
+with the direct one.  The chain's description, and the factor matrices
+that ``kaluza dump factors`` prints, are ``codegen.factorized_engine()``.
 """
 
 from operator import itemgetter

@@ -22,8 +22,6 @@ import pytest
 from bitmask_oracle import oracle_basis_mul
 
 from kaluza import _direct, codegen
-from kaluza.fastmul import PAIRING_PERMUTATION
-from kaluza.linops import apply_permutation, materialize, replicate_pairs
 
 ENGINES = {e.name: e for e in (codegen.direct_engine(), codegen.factorized_engine())}
 CUBE = list(product(range(32), repeat=3))
@@ -121,12 +119,3 @@ def test_the_direct_v_is_what_mul_matrix_returns():
     b = [float(j + 1) for j in range(32)]
     assert [s * b[j] for ((s, j),) in v.rows] == [x for row in _direct.mul_matrix(b) for x in row]
 
-
-def test_the_hand_written_factorized_stages_are_the_described_ones():
-    permute, _, replicate = ENGINES["factorized"].a_stages
-
-    def dense(stage, n):
-        return [[row.get(i, 0) for i in range(n)] for row in _matrix([stage])]
-
-    assert dense(permute, 32) == materialize(lambda x: apply_permutation(PAIRING_PERMUTATION, x), 32)
-    assert dense(replicate, 32) == materialize(replicate_pairs, 32)

@@ -14,15 +14,7 @@ import pytest
 import kaluza.cli
 from kaluza.cayley import VERBATIM_TABLE, CayleyTable
 from kaluza.cli import main
-from kaluza.fastmul import build_pipeline
-from kaluza.linops import (
-    Permutation32,
-    block_diagonal_scale,
-    fan_in_sum,
-    lane,
-    materialize,
-    replicate_pairs,
-)
+from kaluza.linops import Permutation32
 from kaluza.number import KaluzaNumber
 
 
@@ -355,32 +347,6 @@ def test_dump_factors_includes_a_symmetric_permutation_matrix(capsys):
         assert row == ["1" if c % 32 == m else "0" for c in range(512)]
 
 
-def test_dumped_lanes_are_the_running_kernels_in_block_order(capsys):
-    # The kernels keep the 512 lanes lane-major; the dumps print them block
-    # by block, row (or column) 32k + m being lane(k, m).
-    blocks = [lane(k, m) for k in range(16) for m in range(32)]
-
-    def tokens(values):
-        return [f"{v:.17g}" for v in values]
-
-    _, out, _ = run(capsys, "dump", "factors")
-    replicate = materialize(replicate_pairs, 32)
-    assert _dumped(out, "# replicate 512x32", 512) == [tokens(replicate[i]) for i in blocks]
-    fan_in = materialize(fan_in_sum, 512)
-    assert _dumped(out, "# fan-in 32x512", 32) == [
-        tokens(row[i] for i in blocks) for row in fan_in
-    ]
-    _, out, _ = run(capsys, "dump", "diagonal", FROZEN_OPERAND)
-    # the lanes the diagonal scale multiplies by, read off on ones
-    diagonal = block_diagonal_scale(
-        [1.0] * 512, build_pipeline(KaluzaNumber.from_text(FROZEN_OPERAND)).signed_c
-    )
-    assert out.splitlines() == [
-        f"block {k}: " + " ".join(tokens(diagonal[lane(k, m)] for m in range(32)))
-        for k in range(16)
-    ]
-
-
 # -0.0, the smallest subnormal and a value whose square overflows, then 1..29
 FROZEN_OPERAND = "-0.0 5e-324 1e300 " + " ".join(str(i) for i in range(1, 30))
 # sha256 of stdout; any change to these outputs has to be made on purpose
@@ -431,11 +397,15 @@ def test_a_reader_that_goes_away_mid_dump_ends_it_quietly():
     assert (child.returncode, err) == (0, b"")
 
 
-def test_dump_requires_an_operand_when_one_is_needed(capsys):
+def test_dump_takes_an_operand_exactly_when_it_needs_one(capsys):
     for what in ("mul-matrix", "diagonal"):
         code, _, err = run(capsys, "dump", what)
         assert code == 2
         assert "operand is required" in err
+    # an operand that a dump never reads is refused, not ignored
+    for argv in (("factors", "not a number"), ("table-quadrant", "/nonexistent")):
+        code, out, err = run(capsys, "dump", *argv)
+        assert (code, out, err) == (2, "", f"error: dump {argv[0]}: takes no operand\n")
 
 
 @pytest.mark.parametrize("command", ["verify", "bench"])

@@ -69,19 +69,29 @@ def test_coefficient_pairs_are_the_orbits_of_left_multiplication_by_e1(monkeypat
     # 2x2 block refers to a first member and B to its partner.
     firsts = {u for u, _ in pairs}
     assert {TABLE.entries[x][y][1] for x in firsts for y in firsts} == firsts
-    # The derivation reads only the partners.  TABLE in the basis with e6
-    # negated is a valid table of the same algebra with e1 * e2 = -e6: it
-    # pairs the same indices, and the bisymmetry check refuses it.
+    # The derivation reads only the partners, from the table it is given.
+    # TABLE in the basis with e6 negated is a valid table of the same
+    # algebra with e1 * e2 = -e6: it pairs the same indices, and the
+    # bisymmetry check refuses it.
     sign = [-1 if i == 6 else 1 for i in range(32)]
     negated = CayleyTable([
         [(sign[i] * sign[j] * sign[w] * s, w) for j, (s, w) in enumerate(row)]
         for i, row in enumerate(TABLE.entries)
     ])
     assert validate_table(negated) == [] and negated.entries[1][2] == (-1, 6)
-    monkeypatch.setattr(fastmul, "TABLE", negated)
-    assert coefficient_pairs() == pairs
+    assert coefficient_pairs(negated) == pairs
     with pytest.raises(ValueError, match=r"^block \(1, 0\) .* not bisymmetric: \[\[b2, -b6\], "):
         derive_diagonal_spec.__wrapped__(negated)
+    # TABLE with e1 and e2 relabeled is valid too, but its e1 is TABLE's e2,
+    # whose orbits the paper's order does not name once each
+    swap = [0, 2, 1, *range(3, 32)]
+    relabeled = CayleyTable([
+        [(s, swap[w]) for s, w in (TABLE.entries[swap[i]][swap[j]] for j in range(32))]
+        for i in range(32)
+    ])
+    assert validate_table(relabeled) == []
+    with pytest.raises(ValueError, match=r"^orbit order \(0, 2, 4, .* name each of the 16 orbits once$"):
+        derive_diagonal_spec.__wrapped__(relabeled)
     # an orbit order that names the orbit {0, 1} twice, and {2, 6} not at all
     monkeypatch.setattr(fastmul, "_ORBIT_ORDER", (0, 0) + fastmul._ORBIT_ORDER[2:])
     with pytest.raises(ValueError, match=r"^orbit order \(0, 0, 4, .* name each of the 16 orbits once$"):

@@ -1,4 +1,4 @@
-"""Linear-stage kernels: kernels, counters, dense materializations."""
+"""Linear-stage kernels: kernels, counters, lanes."""
 
 import math
 import random
@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import kaluza
-from kaluza.fastmul import PAIRING_PERMUTATION
 from kaluza.linops import (
     OpCount,
     Permutation32,
@@ -19,7 +18,6 @@ from kaluza.linops import (
     fan_in_sum,
     hadamard_pairs,
     lane,
-    materialize,
     replicate_pairs,
 )
 
@@ -111,7 +109,7 @@ def test_hadamard_pair_examples():
     assert hadamard_pairs([1.0] * 32, c) == [2.0, 0.0] * 16
     assert c.as_tuple() == (0, 32)
     # pairs (0, 5) butterfly to (5, -5): the minus is forced by
-    # H2 = [[1, 1], [1, -1]], the same convention materialize() exposes
+    # H2 = [[1, 1], [1, -1]], the butterfly that codegen.factorized_engine() describes
     assert hadamard_pairs([3.0, 0.0, 0.0, 5.0] * 8) == [3.0, 3.0, 5.0, -5.0] * 8
     twice = hadamard_pairs(hadamard_pairs([3.0, 5.0, 7.0, 11.0] * 8))
     assert twice == [6.0, 10.0, 14.0, 22.0] * 8  # H2 squared is 2I
@@ -245,59 +243,3 @@ def test_fan_in_matches_the_block_major_loop_bit_for_bit():
             if not math.isnan(w):
                 assert struct.pack("<d", g) == struct.pack("<d", w)
     assert fan_in_sum(next(_fan_in_vectors()))[:4] == [-0.0, 16 * 5e-324, 1e16, math.inf]
-
-
-def test_replicate_then_fan_in_totals_the_pair_members():
-    # block k repeats pair k, and the fan-in sums across blocks, so slot
-    # parity selects which pair member gets totalled
-    x = [float(i + 1) for i in range(32)]
-    even_total = sum(x[0::2])
-    odd_total = sum(x[1::2])
-    got = fan_in_sum(replicate_pairs(x))
-    assert got == [even_total, odd_total] * 16
-    # a pair-constant vector is the special case where that total is a
-    # plain scaling by the block count
-    y = [3.0, 7.0] * 16
-    assert fan_in_sum(replicate_pairs(y)) == [16.0 * v for v in y]
-
-
-def test_materialized_hadamard_single_pair():
-    # every pair gets its own H2 block on the diagonal of the 32x32 matrix
-    h2 = [[1.0, 1.0], [1.0, -1.0]]
-    want = [[0.0] * 32 for _ in range(32)]
-    for k in range(0, 32, 2):
-        for r in range(2):
-            want[k + r][k : k + 2] = h2[r]
-    assert materialize(hadamard_pairs, 32) == want
-
-
-def test_materialized_permutation_is_a_symmetric_0_1_matrix_for_involutions():
-    assert PAIRING_PERMUTATION.is_involution()
-    m = materialize(lambda x: apply_permutation(PAIRING_PERMUTATION, x), 32)
-    for r in range(32):
-        assert sorted(m[r]) == [0.0] * 31 + [1.0]
-        for c in range(32):
-            assert m[r][c] in (0.0, 1.0)
-            assert m[r][c] == m[c][r]
-
-
-def _dense_apply(m, x):
-    return [sum(row[c] * x[c] for c in range(len(x))) for row in m]
-
-
-def test_every_stage_agrees_with_its_dense_materialization():
-    rng = random.Random(20240901)
-    signed_c = [float(rng.randint(-9, 9)) for _ in range(64)]
-    perm = Permutation32(rng.sample(range(32), 32))
-    stages = [
-        ("permute", lambda x: apply_permutation(perm, x), 32),
-        ("hadamard-pairs", hadamard_pairs, 32),
-        ("replicate", replicate_pairs, 32),
-        ("diagonal", lambda x: block_diagonal_scale(x, signed_c), 512),
-        ("fan-in", fan_in_sum, 512),
-    ]
-    for kind, fn, n_in in stages:
-        m = materialize(fn, n_in)
-        for _ in range(100):
-            x = [float(rng.randint(-100, 100)) for _ in range(n_in)]
-            assert fn(x) == _dense_apply(m, x), kind

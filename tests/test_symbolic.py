@@ -9,11 +9,12 @@ bilinear and equal to the algebra's product for every input, with each
 rational coefficient (the factorized engine's 1/2 and the butterflies'
 doublings) exact.
 
-The factorized engine is also checked stage by stage: each fixed stage
-equals the factor matrix that `kaluza dump factors` prints (test_cli
-freezes that output by its sha256, with the 512 lanes in block order),
-and the diagonal entry in lane lane(k, m) equals the eigenvalue of its
-2x2 block of M(b).
+The factorized engine is also checked stage by stage.  Each hand-written
+kernel, run on symbols, equals every stage of codegen.factorized_engine()
+that it runs, on both sides of the chain where a stage appears twice;
+those stages are the factor matrices that `kaluza dump factors` prints
+(test_cli freezes that output by its sha256).  And the diagonal entry in
+lane lane(k, m) equals the eigenvalue of its 2x2 block of M(b).
 """
 
 from fractions import Fraction
@@ -23,6 +24,7 @@ from bitmask_oracle import oracle_basis_mul
 from symbolic import Poly, symbols
 
 import kaluza.number
+from kaluza.codegen import factorized_engine
 from kaluza.fastmul import ENGINES, PAIRING_PERMUTATION, build_pipeline, coefficient_pairs
 from kaluza.linops import (
     apply_permutation,
@@ -30,7 +32,6 @@ from kaluza.linops import (
     fan_in_sum,
     hadamard_pairs,
     lane,
-    materialize,
     replicate_pairs,
 )
 from kaluza.number import build_mul_matrix
@@ -94,25 +95,28 @@ def test_every_registered_engine_has_a_whole_product_proof():
     assert covered == set(ENGINES)
 
 
+# the description's fixed stages, which the hand-written kernels run
+FACTORIZED = factorized_engine()
+(PERMUTE, BUTTERFLY, REPLICATE), (FAN_IN, OUT_BUTTERFLY, OUT_PERMUTE) = (
+    FACTORIZED.a_stages, FACTORIZED.out_stages
+)
+
+
 @pytest.mark.parametrize(
-    "stage, n",
+    "kernel, stages",
     [
-        (lambda x: apply_permutation(PAIRING_PERMUTATION, x), 32),
-        (hadamard_pairs, 32),
-        (replicate_pairs, 32),
-        (fan_in_sum, 512),
+        (lambda x: apply_permutation(PAIRING_PERMUTATION, x), (PERMUTE, OUT_PERMUTE)),
+        (hadamard_pairs, (BUTTERFLY, OUT_BUTTERFLY)),
+        (replicate_pairs, (REPLICATE,)),
+        (fan_in_sum, (FAN_IN,)),
     ],
     ids=["permute", "hadamard-pairs", "replicate", "fan-in"],
 )
-def test_each_fixed_stage_is_exactly_its_factor_matrix(stage, n):
-    x = list(symbols("x", n))
-    m = materialize(stage, n)
-    want = [Poly({}) for _ in m]
-    for r, row in enumerate(m):
-        for c, entry in enumerate(row):
-            if entry:
-                want[r] += entry * x[c]
-    assert stage(x) == want
+def test_each_fixed_stage_is_exactly_its_factor_matrix(kernel, stages):
+    for stage in stages:
+        x = symbols("x", 1 + max(j for row in stage.rows for _, j in row))
+        want = [stage.scale * sum((s * x[j] for s, j in row), Poly({})) for row in stage.rows]
+        assert kernel(list(x)) == want
 
 
 def test_each_diagonal_entry_is_the_eigenvalue_of_its_block(symbolic):
