@@ -265,11 +265,11 @@ def _fmt_matrix(rows) -> str:
     return "\n".join(" ".join(f"{v:.17g}" for v in row) for row in rows)
 
 
-def _dense(stage) -> list[list[int]]:
-    """Entry (i, j) of a stage is the sign of row i's reference to input j, or 0."""
-    n = 1 + max(j for row in stage.rows for _, j in row)
+def _dense(stage, width: int) -> list[list[int]]:
+    """Entry (i, j), j < width, of a stage is the sign of row i's reference
+    to input j, or 0."""
     signs = [{j: s for s, j in row} for row in stage.rows]
-    return [[row.get(j, 0) for j in range(n)] for row in signs]
+    return [[row.get(j, 0) for j in range(width)] for row in signs]
 
 
 def _cmd_dump(args) -> int:
@@ -290,8 +290,8 @@ def _cmd_dump(args) -> int:
     engine = factorized_engine()
     blocks = [lane(k, m) for k in range(16) for m in range(32)]
     if what == "factors":
-        permute, butterfly, replicate = map(_dense, engine.a_stages)
-        fan_in = _dense(engine.out_stages[0])
+        permute, butterfly, replicate = (_dense(stage, 32) for stage in engine.a_stages)
+        fan_in = _dense(engine.out_stages[0], engine.rank)
         print(
             "# chain: permute -> hadamard-pairs -> replicate -> diagonal(b) "
             "-> fan-in -> hadamard-pairs -> permute"
@@ -313,14 +313,20 @@ def _cmd_dump(args) -> int:
 
 
 def _positive_int(text: str) -> int:
-    v = int(text)
+    try:
+        v = int(text)
+    except ValueError:  # not an integer: the message of one out of range
+        v = 0
     if v < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return v
 
 
 def _seed(text: str) -> int:
-    v = int(text)
+    try:
+        v = int(text)
+    except ValueError:  # not an integer: the message of one out of range
+        v = -1
     if not 0 <= v < SEED_LIMIT:
         raise argparse.ArgumentTypeError("must be an integer in 0..2**63 - 1")
     return v

@@ -9,6 +9,11 @@ entry: its rank r is r real multiplications.  An Engine states U, V and W
 as Stages applied in order.  A Stage is a tuple of sparse rows of signed
 references (sign +/-1, input index) under one power-of-two scale, which
 is exact and not counted; a row of n references costs n - 1 additions.
+The rank is U's output width, the row count of U's last stage, and is
+stored nowhere else.  A stage does not know its input width, since an
+input that no row reads leaves no trace in it: every caller states the
+width it feeds, 32 for a stage on an operand's coefficients, the rank for
+W's first stage.
 tests/test_brent.py proves each description by the Brent equations.
 
 - direct_engine(), rank 1024: product 32k + i is a_i times entry (s, j)
@@ -77,13 +82,16 @@ class Stage(NamedTuple):
 
 class Engine(NamedTuple):
     """out = W((U a) * (V b)) over rank products; U applies a_stages in
-    order, V b_stages and W out_stages."""
+    order, V b_stages and W out_stages.  The rank is U's output width."""
 
     name: str
     a_stages: tuple
     b_stages: tuple
-    rank: int
     out_stages: tuple
+
+    @property
+    def rank(self) -> int:
+        return len(self.a_stages[-1].rows)
 
 
 def _copies(refs) -> Stage:
@@ -103,7 +111,6 @@ def direct_engine() -> Engine:
         "direct",
         (_copies([(1, i) for i in range(32)] * 32),),
         (_copies(refs),),
-        1024,
         (Stage(tuple(tuple((1, 32 * k + i) for i in range(32)) for k in range(32))),),
     )
 
@@ -127,7 +134,6 @@ def factorized_engine() -> Engine:
             _copies([(s, j) for s in (1, -1) for j in range(32)]),
             _copies(picks),
         ),
-        512,
         (fan_in, butterfly, permute),
     )
 
@@ -195,10 +201,10 @@ def _function(
     return name, tally, "\n".join(lines) + "\n"
 
 
-def _linear(name: str, doc: str, prefix: str, stage: Stage, per_line: int):
-    """The function of one linear stage over prefix0, prefix1, ...: row i is
-    returned as item i; it costs (0, the stage's additions)."""
-    names = _names(prefix, 1 + max(j for row in stage.rows for _, j in row))
+def _linear(name: str, doc: str, prefix: str, stage: Stage, width: int, per_line: int):
+    """The function of one linear stage over prefix0, ..., prefix{width - 1}:
+    row i is returned as item i; it costs (0, the stage's additions)."""
+    names = _names(prefix, width)
     returns = [_sum([(s, (names[j],)) for s, j in row], scale=stage.scale) for row in stage.rows]
     return _function(name, doc, {prefix: names}, [], returns, (0, _adds(stage)), per_line)
 
@@ -290,7 +296,7 @@ def factorized_source() -> str:
                 "    gives c{2t} = (b{u} + b{v}) * 0.5 and c{2t+1} = (b{u} - b{v}) * 0.5.",
                 {"b": b}, prepare, d, (0, _adds(c_values, signed)), NAMES_PER_LINE, "()",
             ),
-            _linear("butterfly", "(x0, x1, ...) -> (x0 + x1, x0 - x1, ...).", "x", butterfly, 4),
+            _linear("butterfly", "(x0, x1, ...) -> (x0 + x1, x0 - x1, ...).", "x", butterfly, 32, 4),
             _function(
                 "diagonal_scale",
                 "Lane lane(k, m) is its x times c{j} or n{j} = -c{j}, (s, j) = blocks[k][m] "
@@ -301,7 +307,7 @@ def factorized_source() -> str:
             ),
             _linear(
                 "fan_in", "Slot m is x{lane(0, m)} + ... + x{lane(15, m)}, in block order.",
-                "x", fan_in, 1,
+                "x", fan_in, engine.rank, 1,
             ),
         ],
     )

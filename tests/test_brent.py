@@ -87,7 +87,7 @@ def _drop_one_lane(engine, lane=37):
     ))
     return engine._replace(
         a_stages=(*a_stages, without(replicate)), b_stages=(*b_stages, without(picks)),
-        rank=engine.rank - 1, out_stages=(fan_in, *out_stages),
+        out_stages=(fan_in, *out_stages),
     )
 
 

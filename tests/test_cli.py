@@ -256,8 +256,10 @@ def test_verify_fails_each_check_on_a_wrong_input(capsys, monkeypatch, case):
 
 
 def test_verify_rejects_nonpositive_trials(capsys):
-    code, _, _ = run(capsys, "verify", "--trials", "0")
-    assert code == 2
+    for trials in ("0", "1.5"):
+        code, _, err = run(capsys, "verify", "--trials", trials)
+        assert code == 2, trials
+        assert err.endswith("must be a positive integer\n"), trials
 
 
 def test_bench_csv_shape_and_counts(capsys):
@@ -409,7 +411,7 @@ def test_dump_takes_an_operand_exactly_when_it_needs_one(capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "bench"])
-@pytest.mark.parametrize("seed", [2**63, -1])
+@pytest.mark.parametrize("seed", [2**63, -1, "abc"])
 def test_a_seed_outside_the_stream_range_is_a_usage_error(capsys, command, seed):
     code, out, err = run(capsys, command, "--trials" if command == "verify" else "--reps", "1",
                          f"--seed={seed}")

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from kaluza import _direct, _factorized, codegen, fastmul, linops, number
+from kaluza import _direct, _factorized, cli, codegen, fastmul, linops, number
 from kaluza.number import KaluzaNumber
 
 
@@ -130,7 +130,7 @@ def test_each_stage_tally_is_its_operators_and_its_kernel_bump():
 def test_the_emitter_refuses_a_tally_its_code_does_not_carry():
     # A stage's tally comes from its description; the emitted operators must agree.
     stage = codegen.Stage((((1, 0), (1, 1)), ((1, 0), (-1, 1))), 0.5)
-    name, tally, _ = codegen._linear("pairs", "", "x", stage, 2)
+    name, tally, _ = codegen._linear("pairs", "", "x", stage, 2, 2)
     assert (name, tally) == ("pairs", (0, 2))
     args = {"x": ["x0", "x1"]}
     with pytest.raises(ValueError, match=r"pairs: its stages cost \(0, 2\), its code \(1, 1\)"):
@@ -157,6 +157,24 @@ def test_the_emitter_refuses_a_tally_its_code_does_not_carry():
     namespace = {}
     exec(source, namespace)
     assert namespace["wrapped"]([1.0, 2.0, 4.0, 8.0]) == [15.0]
+
+
+def test_a_stage_is_read_at_the_width_its_caller_feeds():
+    # no row reads input 2, so only the caller knows that the stage takes three
+    stage = codegen.Stage((((1, 0),), ((1, 1), (-1, 0))))
+    assert cli._dense(stage, 3) == [[1, 0, 0], [-1, 1, 0]]
+    _, _, source = codegen._linear("unread", "", "x", stage, 3, 2)
+    namespace = {}
+    exec(source, namespace)
+    assert namespace["unread"]([1.0, 2.0, 4.0]) == [1.0, 1.0]
+    # the rank is U's output width: the multiplications of a product by each
+    # registered engine that runs the description
+    direct, factorized = codegen.direct_engine(), codegen.factorized_engine()
+    runs = {"naive": direct, "dense": direct, "fast": factorized}
+    assert runs.keys() == fastmul.ENGINES.keys()
+    for name, engine in runs.items():
+        counted = fastmul.count_operations(name, include_preprocessing=False)
+        assert counted.multiplications == engine.rank, name
 
 
 @pytest.fixture

@@ -103,18 +103,18 @@ FACTORIZED = factorized_engine()
 
 
 @pytest.mark.parametrize(
-    "kernel, stages",
+    "kernel, stages, width",
     [
-        (lambda x: apply_permutation(PAIRING_PERMUTATION, x), (PERMUTE, OUT_PERMUTE)),
-        (hadamard_pairs, (BUTTERFLY, OUT_BUTTERFLY)),
-        (replicate_pairs, (REPLICATE,)),
-        (fan_in_sum, (FAN_IN,)),
+        (lambda x: apply_permutation(PAIRING_PERMUTATION, x), (PERMUTE, OUT_PERMUTE), 32),
+        (hadamard_pairs, (BUTTERFLY, OUT_BUTTERFLY), 32),
+        (replicate_pairs, (REPLICATE,), 32),
+        (fan_in_sum, (FAN_IN,), FACTORIZED.rank),
     ],
     ids=["permute", "hadamard-pairs", "replicate", "fan-in"],
 )
-def test_each_fixed_stage_is_exactly_its_factor_matrix(kernel, stages):
+def test_each_fixed_stage_is_exactly_its_factor_matrix(kernel, stages, width):
     for stage in stages:
-        x = symbols("x", 1 + max(j for row in stage.rows for _, j in row))
+        x = symbols("x", width)
         want = [stage.scale * sum((s * x[j] for s, j in row), Poly({})) for row in stage.rows]
         assert kernel(list(x)) == want
 
